@@ -30,32 +30,22 @@ from typing import Optional
 
 import numpy as np
 
+from . import mechanisms
 from .audit import AuditReport, empirical_sensitivity, exact_dp_audit, verify_sampler_lemmas
 from .errors import ConfigurationError, SizeCapError
 from .gridwalk.grid import grid_with_cells
 from .hypergrad import approx_hypergradient
 from .inner import solve_lower_level
 from .instances import InstanceFixture, make_instance
-from .mechanisms import (
-    K_REG,
-    dp_second_order_gd,
-    exponential_mechanism,
-    grad_norm_exp_mechanism,
-    mechanism_grid_law,
-    regularized_exp_mechanism,
-    warm_start,
-)
+from .mechanisms import K_REG, MECHANISMS, _alpha_fallback, mechanism_grid_law
 from .problem import AssumptionConstants, derive_constants
 from .rng import derive_seed, make_generator
 
 SWEEP_AXES = ("n", "d", "epsilon", "delta")
-MECHANISM_NAMES = (
-    "exponential_mechanism",
-    "grad_norm_exp_mechanism",
-    "regularized_exp_mechanism",
-    "dp_second_order_gd",
-    "warm_start",
-)
+MECHANISM_NAMES = tuple(MECHANISMS)
+#: mechanism keywords a config cannot set: the budget comes from "budget" and
+#: the sweep, and descent always starts at the domain center
+_UNSETTABLE = {"eps", "delta", "x0"}
 #: instance parameter that plays the role of the sweep axis "d"
 _DIM_PARAM = {"hard": "d", "quadratic": "d_x", "ridge": "feature_dim"}
 
@@ -100,6 +90,13 @@ class ExperimentConfig:
         if mech_name not in MECHANISM_NAMES:
             raise ConfigurationError(
                 f"unknown mechanism {mech_name!r}; have {list(MECHANISM_NAMES)}"
+            )
+        settable = set(MECHANISMS[mech_name].params) - _UNSETTABLE
+        unknown_params = set(mech_params) - settable
+        if unknown_params:
+            raise ConfigurationError(
+                f"unknown {mech_name} params: {sorted(unknown_params)}; "
+                f"have {sorted(settable)}"
             )
 
         budget = raw["budget"]
@@ -165,36 +162,14 @@ def _build_fixture(config: ExperimentConfig, cell: dict) -> InstanceFixture:
 
 def _run_mechanism(config: ExperimentConfig, fixture: InstanceFixture, Z,
                    eps: float, delta: float, seed: int):
-    p, a = fixture.problem, fixture.constants
-    params = config.mechanism_params
     name = config.mechanism_name
-    if name == "exponential_mechanism":
-        return exponential_mechanism(
-            p, Z, a, eps, float(params.get("xi", eps)), seed,
-            force_walk=bool(params.get("force_walk", False)),
-        )
-    if name == "grad_norm_exp_mechanism":
-        return grad_norm_exp_mechanism(
-            p, Z, a, eps, float(params.get("xi", eps)), seed,
-            force_walk=bool(params.get("force_walk", False)),
-        )
-    if name == "regularized_exp_mechanism":
-        return regularized_exp_mechanism(
-            p, Z, a, eps, delta, str(params.get("mode", "erm")),
-            float(params.get("xi", eps)), seed,
-            k_reg=float(params.get("k_reg", K_REG)),
-            force_walk=bool(params.get("force_walk", False)),
-        )
-    if name == "dp_second_order_gd":
-        return dp_second_order_gd(
-            p, Z, a, eps, delta, overrides=params.get("overrides"), rng=seed,
-        )
-    if name == "warm_start":
-        return warm_start(
-            p, Z, a, eps, delta, float(params.get("xi", eps)), seed,
-            stage_b_overrides=params.get("stage_b_overrides"),
-        )
-    raise ConfigurationError(f"unknown mechanism {name!r}")
+    # the cell's budget, then defaults the config params may override
+    base = {"eps": eps, "delta": delta, "xi": eps, "mode": "erm"}
+    kwargs = {k: v for k, v in base.items() if k in MECHANISMS[name].params}
+    kwargs.update(config.mechanism_params)
+    # looked up at call time, so a rebound mechanisms attribute is honored
+    return getattr(mechanisms, name)(
+        fixture.problem, Z, fixture.constants, rng=seed, **kwargs)
 
 
 def _flatten_ledger(ledger: dict, prefix: str = "mech.") -> dict:
@@ -370,7 +345,7 @@ def run_audits(config: ExperimentConfig) -> dict:
         name="phi_offset_sensitivity",
     ))
 
-    alpha_step = der.K / (n * der.C) if der.C > 0 else 1e-8 * max(1.0, a.D_y)
+    alpha_step = der.K / (n * der.C) if der.C > 0 else _alpha_fallback(a)
 
     def step_query(ds):
         res = solve_lower_level(p, ds, x_probe, alpha_step, a)

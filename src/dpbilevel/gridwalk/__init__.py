@@ -10,7 +10,7 @@ from .chain import (
     stationary_from_scores,
     transition_matrix,
 )
-from .engine import available_engines, run_walk, walk_step
+from .engine import available_engines, run_walk
 from .evaluator import Evaluator, ExtendedEvaluator
 from .grid import GridSpec, build_grid, grid_with_cells
 from .sampler import SamplerPlan, grid_law, plan_sampler, sample_logconcave, sample_logconcave_detailed
@@ -36,5 +36,4 @@ __all__ = [
     "sample_logconcave_detailed",
     "stationary_from_scores",
     "transition_matrix",
-    "walk_step",
 ]

@@ -67,33 +67,6 @@ def _walk_block_python(table, m, d, strides, state, coords, U):
     return state, rows, -1
 
 
-def walk_step(state: int, evaluator, grid: GridSpec, rng: np.random.Generator) -> int:
-    """One lazy Metropolis step, scoring cells through the evaluator.
-
-    Reference implementation consuming the same three uniforms per step as
-    the batch kernels: hold with probability 1/2, else propose one of the
-    2d axis neighbors uniformly (off-cube proposals rejected) and accept
-    with min{1, exp(-(f'(neighbor) - f'(state)))}.
-    """
-    u = rng.random(3)
-    if u[0] < 0.5:
-        return state
-    two_d = 2 * grid.d
-    j = min(int(u[1] * two_d), two_d - 1)
-    axis = j >> 1
-    delta = 1 if (j & 1) == 0 else -1
-    coords = grid.unravel(state)
-    c = coords[axis] + delta
-    if c < 0 or c >= grid.cells_per_axis:
-        return state
-    nb = state + delta * int(grid._strides[axis])
-    fx = float(evaluator.eval(grid.center(state)))
-    fy = float(evaluator.eval(grid.center(nb)))
-    if fy <= fx or u[2] < math.exp(fx - fy):
-        return nb
-    return state
-
-
 @dataclass(frozen=True)
 class WalkResult:
     """Where a walk ended and what it cost."""
@@ -159,4 +132,4 @@ def run_walk(
                 table[fault] = score_fill(fault)
                 faults += 1
         remaining -= rows
-    return WalkResult(state=state, steps=int(steps), faults=faults, engine=engine)
+    return WalkResult(state=int(state), steps=int(steps), faults=faults, engine=engine)

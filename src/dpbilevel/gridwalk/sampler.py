@@ -45,11 +45,14 @@ ENUM_STATE_CAP = 2**14
 RESTART_CAP = 64
 
 
-def as_generator(rng: Union[int, np.random.Generator]) -> np.random.Generator:
-    """Accept an explicit seed or a ready generator (counter-based either way)."""
+def seed_and_generator(
+    rng: Union[int, np.random.Generator],
+) -> tuple[Optional[int], np.random.Generator]:
+    """Accept an explicit seed or a ready generator; the seed is None for the latter."""
     if isinstance(rng, np.random.Generator):
-        return rng
-    return make_generator(int(rng))
+        return None, rng
+    seed = int(rng)
+    return seed, make_generator(seed)
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,7 @@ def sample_logconcave_detailed(
     exact grid law.  force_walk disables the short-cube and enumeration
     shortcuts.
     """
-    gen = as_generator(rng)
+    _, gen = seed_and_generator(rng)
     ext = extend_to_cube(evaluator, domain, L_lip2, alpha_gauge)
     if plan is None:
         plan = plan_sampler(

@@ -72,32 +72,6 @@ def solve_lower_level(
         iterations += 1
 
 
-def evaluate_phi_inexact(
-    p: BilevelProblem,
-    Z: Dataset,
-    x: np.ndarray,
-    zeta: float,
-    a: AssumptionConstants,
-    warm_start: np.ndarray | None = None,
-) -> float:
-    """Value of the implicit objective at x with additive error at most zeta.
-
-    Solves the lower level to alpha = zeta / L_fy (f's y-Lipschitz constant
-    converts the distance certificate into a value error bound) and averages f.
-    When L_fy = 0 the upper level does not depend on y and any feasible y is
-    exact.
-    """
-    if zeta <= 0:
-        raise ConfigurationError("zeta must be positive")
-    if a.L_fy > 0:
-        alpha = zeta / a.L_fy
-        res = solve_lower_level(p, Z, x, alpha, a, warm_start=warm_start)
-        y = res.y
-    else:
-        y = p.y_box.center
-    return float(dataset_mean(p, "f_eval", x, y, Z))
-
-
 def phi_solution_pair(
     p: BilevelProblem,
     Z: Dataset,
@@ -106,7 +80,13 @@ def phi_solution_pair(
     a: AssumptionConstants,
     warm_start: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Like evaluate_phi_inexact, also returning the certified y (for warm chains)."""
+    """Implicit objective at x with additive error at most zeta, and the certified y.
+
+    Solves the lower level to alpha = zeta / L_fy (f's y-Lipschitz constant
+    converts the distance certificate into a value error bound) and averages f.
+    When L_fy = 0 the upper level does not depend on y and any feasible y is
+    exact.  The returned y warm-starts the next point of a chain.
+    """
     if zeta <= 0:
         raise ConfigurationError("zeta must be positive")
     if a.L_fy > 0:
@@ -115,3 +95,15 @@ def phi_solution_pair(
     else:
         y = np.array(p.y_box.center, dtype=float)
     return float(dataset_mean(p, "f_eval", x, y, Z)), y
+
+
+def evaluate_phi_inexact(
+    p: BilevelProblem,
+    Z: Dataset,
+    x: np.ndarray,
+    zeta: float,
+    a: AssumptionConstants,
+    warm_start: np.ndarray | None = None,
+) -> float:
+    """Value of the implicit objective at x with additive error at most zeta."""
+    return phi_solution_pair(p, Z, x, zeta, a, warm_start)[0]

@@ -24,7 +24,10 @@ seed):
   bound the first stage guarantees.
 
 Every result carries a ledger sufficient to replay it bit-for-bit
-(replay_mechanism) and serializes to JSON.
+(replay_mechanism) and serializes to JSON.  MECHANISMS, at the bottom, is
+the one place a mechanism's name maps to the keywords its ledger records
+(which replay and the CLI pass back in) and, for the samplers, to the score
+whose exact grid law the audits check (mechanism_grid_law).
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -43,11 +47,12 @@ from .gridwalk.sampler import (
     extend_to_cube,
     grid_law,
     sample_logconcave_detailed,
+    seed_and_generator,
 )
 from .hypergrad import approx_hypergradient
 from .inner import phi_solution_pair, solve_lower_level
 from .problem import AssumptionConstants, BilevelProblem, Dataset, derive_constants
-from .rng import derive_seed, make_generator
+from .rng import derive_seed
 
 #: constant inside k = k_reg * mu_reg * n^2 eps^2 / (G^2 ln(1/delta))
 K_REG = 0.125
@@ -102,14 +107,6 @@ class MechanismResult:
         )
 
 
-def _seed_and_generator(rng: RngLike) -> tuple[Optional[int], np.random.Generator]:
-    """Normalize a seed-or-generator argument, keeping the seed for the ledger."""
-    if isinstance(rng, np.random.Generator):
-        return None, rng
-    seed = int(rng)
-    return seed, make_generator(seed)
-
-
 def _child_seed(seed: Optional[int], gen: np.random.Generator, tag: str) -> int:
     """Derived integer seed for a sub-mechanism (always replayable on its own)."""
     if seed is not None:
@@ -128,7 +125,7 @@ def gaussian_noise(v: np.ndarray, sigma: float, rng: RngLike) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if sigma == 0.0:
         return v
-    _, gen = _seed_and_generator(rng)
+    _, gen = seed_and_generator(rng)
     return v + sigma * gen.standard_normal(v.shape)
 
 
@@ -250,8 +247,11 @@ def _alpha_fallback(a: AssumptionConstants) -> float:
     return 1e-8 * max(1.0, a.D_y)
 
 
-def _exp_mech_parameters(p, Z, a, eps: float, xi: float, score: str) -> dict:
-    """Derived quantities shared by a mechanism run and its exact-law audit."""
+def _exp_score(p, Z, a, eps: float, xi: float, kind: str) -> tuple[dict, Evaluator]:
+    """Ledger parameters and score of a pure-DP sampler ("phi" or "grad_norm").
+
+    Shared by a mechanism run and its exact-law audit.
+    """
     if eps <= 0:
         raise ConfigurationError("eps must be positive")
     if xi <= 0:
@@ -261,67 +261,90 @@ def _exp_mech_parameters(p, Z, a, eps: float, xi: float, score: str) -> dict:
     # zeta and xi both default to eps'/6 (the accounting that closes the
     # eps' + 4 zeta + 2 xi <= eps budget); a tighter request only helps.
     err = min(float(xi), eps_prime / 6.0)
-    if score == "phi":
-        sens, slope = der.s, der.L_bar
-    elif score == "grad_norm":
-        sens, slope = der.G, der.beta_phi
+    sens, slope = (der.s, der.L_bar) if kind == "phi" else (der.G, der.beta_phi)
+    coeff = 0.0 if sens == 0.0 else float(eps_prime / (2.0 * sens))
+    L2 = float(coeff * slope)
+    if kind == "phi":
+        evaluator = _phi_evaluator(p, Z, a, coeff, err, L2)
     else:
-        raise ConfigurationError(f"unknown score kind {score!r}")
-    coeff = 0.0 if sens == 0.0 else eps_prime / (2.0 * sens)
-    return {
-        "eps": float(eps),
-        "eps_prime": eps_prime,
-        "zeta": err,
-        "xi_used": err,
-        "sensitivity": float(sens),
-        "coeff": float(coeff),
-        "L_lip2": float(coeff * slope),
-        "n": Z.n,
-        "derived": der,
-    }
-
-
-def _build_score_evaluator(p, Z, a, params: dict, score: str) -> Evaluator:
-    if score == "phi":
-        return _phi_evaluator(p, Z, a, params["coeff"], params["zeta"], params["L_lip2"])
-    der = params["derived"]
-    if der.C > 0:
         # C * alpha <= the score-scale error budget zeta / coeff = G/3
-        alpha_inner = der.G / (3.0 * der.C)
+        alpha_inner = der.G / (3.0 * der.C) if der.C > 0 else _alpha_fallback(a)
+        evaluator = _grad_norm_evaluator(p, Z, a, coeff, alpha_inner, err, L2)
+    params = {
+        "eps": float(eps), "xi": float(xi), "n": Z.n, "eps_prime": eps_prime,
+        "sensitivity": float(sens), "coeff": coeff, "zeta": err,
+        "xi_used": err, "L_lip2": L2,
+    }
+    return params, evaluator
+
+
+def _regularized_score(p, Z, a, eps, delta, mode, xi, k_reg) -> tuple[dict, Evaluator]:
+    """Ledger parameters and the score k * (Phi_hat(x) + mu_reg/2 * ||x||^2)."""
+    if eps <= 0:
+        raise ConfigurationError("eps must be positive")
+    if delta is None or not (0.0 < delta < 1.0):
+        raise ConfigurationError("delta must lie in (0, 1)")
+    if mode not in ("erm", "population"):
+        raise ConfigurationError(f"mode must be 'erm' or 'population', got {mode!r}")
+    if xi <= 0:
+        raise ConfigurationError("xi must be positive")
+    if a.D_x <= 0:
+        raise ConfigurationError("regularized mechanism needs D_x > 0")
+    n = Z.n
+    der = derive_constants(a, n)
+    G = der.G
+    ln1d = math.log(1.0 / delta)
+    if G == 0.0:
+        mu_reg = k = 0.0
     else:
-        alpha_inner = _alpha_fallback(a)
-    return _grad_norm_evaluator(
-        p, Z, a, params["coeff"], alpha_inner, params["zeta"], params["L_lip2"]
+        mu_reg = G * math.sqrt(p.d_x * ln1d) / (n * a.D_x * eps)
+        if mode == "population":
+            mu_reg += G / (a.D_x * math.sqrt(n))
+        k = k_reg * mu_reg * n**2 * eps**2 / (G**2 * ln1d)
+    k, mu_reg = float(k), float(mu_reg)
+    err = min(float(xi), eps / 24.0)
+    L2 = float(k * (der.L_bar + mu_reg * p.domain_x.max_norm()))
+    params = {
+        "eps": float(eps), "delta": float(delta), "mode": mode, "xi": float(xi),
+        "k_reg": float(k_reg), "n": n, "G": float(G), "mu_reg": mu_reg,
+        "k": k, "zeta": err, "xi_used": err, "L_lip2": L2,
+    }
+    if k == 0.0:
+        return params, _constant_evaluator()
+    base = _phi_evaluator(p, Z, a, k, err, L2)
+
+    def regularizer(x):
+        return 0.5 * k * mu_reg * float(np.dot(x, x))
+
+    return params, Evaluator(
+        eval=lambda x: base.eval(x) + regularizer(np.asarray(x, dtype=float)),
+        zeta_bound=err,
+        alpha_lip=base.alpha_lip,
+        eval_many=lambda X: base.evaluate_many(X)
+        + 0.5 * k * mu_reg * np.einsum("ij,ij->i", np.asarray(X, float), np.asarray(X, float)),
     )
 
 
-def _run_exp_mechanism(p, Z, a, eps, xi, rng, score, name, force_walk, engine):
-    seed, gen = _seed_and_generator(rng)
-    params = _exp_mech_parameters(p, Z, a, eps, xi, score)
-    evaluator = _build_score_evaluator(p, Z, a, params, score)
+def _sampler_release(p, Z, a, name, rng, force_walk, engine, **inputs) -> MechanismResult:
+    """Build the named sampler's score, draw one point, and ledger the draw."""
+    seed, gen = seed_and_generator(rng)
+    params, evaluator = MECHANISMS[name].score(p, Z, a, **inputs)
     detail = sample_logconcave_detailed(
         evaluator, p.domain_x, params["L_lip2"], params["xi_used"], gen,
         force_walk=force_walk, engine=engine,
     )
     ledger = {
         "mechanism": name,
-        "eps": float(eps),
-        "xi": float(xi),
         "seed": seed,
         "force_walk": bool(force_walk),
-        "n": params["n"],
-        "eps_prime": params["eps_prime"],
-        "sensitivity": params["sensitivity"],
-        "coeff": params["coeff"],
-        "zeta": params["zeta"],
-        "xi_used": params["xi_used"],
-        "L_lip2": params["L_lip2"],
+        **params,
         "plan": detail.plan.as_dict(),
         "cell": detail.cell,
         "restarts": detail.restarts,
         "walk_faults": detail.walk_faults,
     }
-    return MechanismResult(detail.theta, PrivacyBudget(eps, 0.0), ledger)
+    budget = PrivacyBudget(inputs["eps"], inputs.get("delta", 0.0))
+    return MechanismResult(detail.theta, budget, ledger)
 
 
 def exponential_mechanism(
@@ -340,9 +363,8 @@ def exponential_mechanism(
     the inexact lower-level solves (evaluation error zeta) and the sampler's
     accuracy slack (xi), both set to eps/12.
     """
-    return _run_exp_mechanism(
-        p, Z, a, eps, xi, rng, "phi", "exponential_mechanism", force_walk, engine
-    )
+    return _sampler_release(p, Z, a, "exponential_mechanism", rng, force_walk,
+                            engine, eps=eps, xi=xi)
 
 
 def grad_norm_exp_mechanism(
@@ -360,61 +382,8 @@ def grad_norm_exp_mechanism(
     Targets near-stationary points of nonconvex objectives; same budget
     split and error accounting as exponential_mechanism.
     """
-    return _run_exp_mechanism(
-        p, Z, a, eps, xi, rng, "grad_norm", "grad_norm_exp_mechanism",
-        force_walk, engine,
-    )
-
-
-def _reg_mech_parameters(p, Z, a, eps, delta, mode, xi, k_reg) -> dict:
-    if eps <= 0:
-        raise ConfigurationError("eps must be positive")
-    if not (0.0 < delta < 1.0):
-        raise ConfigurationError("delta must lie in (0, 1)")
-    if mode not in ("erm", "population"):
-        raise ConfigurationError(f"mode must be 'erm' or 'population', got {mode!r}")
-    if xi <= 0:
-        raise ConfigurationError("xi must be positive")
-    if a.D_x <= 0:
-        raise ConfigurationError("regularized mechanism needs D_x > 0")
-    n = Z.n
-    der = derive_constants(a, n)
-    G = der.G
-    ln1d = math.log(1.0 / delta)
-    if G == 0.0:
-        mu_reg = k = coeff_phi = 0.0
-    else:
-        mu_reg = G * math.sqrt(p.d_x * ln1d) / (n * a.D_x * eps)
-        if mode == "population":
-            mu_reg += G / (a.D_x * math.sqrt(n))
-        k = k_reg * mu_reg * n**2 * eps**2 / (G**2 * ln1d)
-        coeff_phi = k
-    err = min(float(xi), eps / 24.0)
-    L2 = k * (der.L_bar + mu_reg * p.domain_x.max_norm())
-    return {
-        "n": n, "derived": der, "G": float(G), "mu_reg": float(mu_reg),
-        "k": float(k), "k_reg": float(k_reg), "zeta": err, "xi_used": err,
-        "L_lip2": float(L2), "coeff_phi": float(coeff_phi),
-    }
-
-
-def _reg_mech_evaluator(p, Z, a, params: dict) -> Evaluator:
-    """Evaluator for k * (Phi_hat(x) + mu_reg/2 * ||x||^2)."""
-    k, mu_reg = params["k"], params["mu_reg"]
-    if k == 0.0:
-        return _constant_evaluator()
-    base = _phi_evaluator(p, Z, a, k, params["zeta"], params["L_lip2"])
-
-    def regularizer(x):
-        return 0.5 * k * mu_reg * float(np.dot(x, x))
-
-    return Evaluator(
-        eval=lambda x: base.eval(x) + regularizer(np.asarray(x, dtype=float)),
-        zeta_bound=params["zeta"],
-        alpha_lip=base.alpha_lip,
-        eval_many=lambda X: base.evaluate_many(X)
-        + 0.5 * k * mu_reg * np.einsum("ij,ij->i", np.asarray(X, float), np.asarray(X, float)),
-    )
+    return _sampler_release(p, Z, a, "grad_norm_exp_mechanism", rng, force_walk,
+                            engine, eps=eps, xi=xi)
 
 
 def regularized_exp_mechanism(
@@ -436,35 +405,9 @@ def regularized_exp_mechanism(
     "population" adds G/(D_x sqrt(n)) to mu_reg for the generalization bound
     (valid when records are drawn i.i.d.).
     """
-    seed, gen = _seed_and_generator(rng)
-    params = _reg_mech_parameters(p, Z, a, eps, delta, mode, xi, k_reg)
-    evaluator = _reg_mech_evaluator(p, Z, a, params)
-    detail = sample_logconcave_detailed(
-        evaluator, p.domain_x, params["L_lip2"], params["xi_used"], gen,
-        force_walk=force_walk, engine=engine,
-    )
-    ledger = {
-        "mechanism": "regularized_exp_mechanism",
-        "eps": float(eps),
-        "delta": float(delta),
-        "mode": mode,
-        "xi": float(xi),
-        "seed": seed,
-        "k_reg": params["k_reg"],
-        "force_walk": bool(force_walk),
-        "n": params["n"],
-        "G": params["G"],
-        "mu_reg": params["mu_reg"],
-        "k": params["k"],
-        "zeta": params["zeta"],
-        "xi_used": params["xi_used"],
-        "L_lip2": params["L_lip2"],
-        "plan": detail.plan.as_dict(),
-        "cell": detail.cell,
-        "restarts": detail.restarts,
-        "walk_faults": detail.walk_faults,
-    }
-    return MechanismResult(detail.theta, PrivacyBudget(eps, delta), ledger)
+    return _sampler_release(p, Z, a, "regularized_exp_mechanism", rng, force_walk,
+                            engine, eps=eps, delta=delta, mode=mode, xi=xi,
+                            k_reg=k_reg)
 
 
 def mechanism_grid_law(
@@ -487,17 +430,12 @@ def mechanism_grid_law(
     enumerable law the DP audits check ratios on.  Pass cells_per_axis (or a
     prebuilt grid) to control the audit resolution.
     """
-    if mechanism in ("exponential_mechanism", "grad_norm_exp_mechanism"):
-        score = "phi" if mechanism == "exponential_mechanism" else "grad_norm"
-        params = _exp_mech_parameters(p, Z, a, eps, xi, score)
-        evaluator = _build_score_evaluator(p, Z, a, params, score)
-    elif mechanism == "regularized_exp_mechanism":
-        if delta is None:
-            raise ConfigurationError("regularized mechanism law needs delta")
-        params = _reg_mech_parameters(p, Z, a, eps, delta, mode, xi, k_reg)
-        evaluator = _reg_mech_evaluator(p, Z, a, params)
-    else:
+    spec = MECHANISMS.get(mechanism)
+    if spec is None or spec.score is None:
         raise ConfigurationError(f"no enumerable law for mechanism {mechanism!r}")
+    given = {"eps": eps, "xi": xi, "delta": delta, "mode": mode, "k_reg": k_reg}
+    params, evaluator = spec.score(
+        p, Z, a, **{k: v for k, v in given.items() if k in spec.params})
     ext = extend_to_cube(evaluator, p.domain_x, params["L_lip2"])
     if grid is None:
         if cells_per_axis is None:
@@ -511,6 +449,16 @@ def mechanism_grid_law(
 # ---------------------------------------------------------------------------
 
 _GD_OVERRIDE_KEYS = {"T", "eta", "alpha", "sigma", "gap_upper_bound", "unsafe"}
+
+
+def _descent_overrides(overrides: Optional[dict]) -> dict:
+    """Checked descent overrides as the ledger records them."""
+    ov = dict(overrides or {})
+    unknown = set(ov) - _GD_OVERRIDE_KEYS
+    if unknown:
+        raise ConfigurationError(f"unknown override keys: {sorted(unknown)}")
+    return {k: (bool(v) if k == "unsafe" else int(v) if k == "T" else float(v))
+            for k, v in ov.items()}
 
 
 def _gd_schedule(p, Z, a, eps, delta, overrides: dict) -> dict:
@@ -612,11 +560,8 @@ def dp_second_order_gd(
         raise ConfigurationError("eps must be positive")
     if not (0.0 < delta < 1.0):
         raise ConfigurationError("delta must lie in (0, 1)")
-    ov = dict(overrides or {})
-    unknown = set(ov) - _GD_OVERRIDE_KEYS
-    if unknown:
-        raise ConfigurationError(f"unknown override keys: {sorted(unknown)}")
-    seed, gen = _seed_and_generator(rng)
+    ov = _descent_overrides(overrides)
+    seed, gen = seed_and_generator(rng)
     schedule = _gd_schedule(p, Z, a, eps, delta, ov)
     T, eta, alpha, sigma = (schedule[k] for k in ("T", "eta", "alpha", "sigma"))
 
@@ -641,9 +586,7 @@ def dp_second_order_gd(
         "delta": float(delta),
         "seed": seed,
         "x0": trajectory[0].tolist(),
-        "overrides": {k: (bool(v) if k == "unsafe" else
-                          int(v) if k == "T" else float(v))
-                      for k, v in ov.items()},
+        "overrides": ov,
         "n": Z.n,
         "T": int(T),
         "eta": float(eta),
@@ -685,7 +628,7 @@ def warm_start(
         raise ConfigurationError(
             "delta must lie in (0, 1): the descent stage requires delta > 0"
         )
-    seed, gen = _seed_and_generator(rng)
+    seed, gen = seed_and_generator(rng)
     seed_a = _child_seed(seed, gen, "stage_a")
     seed_b = _child_seed(seed, gen, "stage_b")
 
@@ -707,10 +650,7 @@ def warm_start(
         "delta": float(delta),
         "xi": float(xi),
         "seed": seed,
-        "stage_b_overrides": {
-            k: (bool(v) if k == "unsafe" else int(v) if k == "T" else float(v))
-            for k, v in (stage_b_overrides or {}).items()
-        },
+        "stage_b_overrides": _descent_overrides(stage_b_overrides),
         "gap_upper_bound": float(gap),
         "stage_budgets_spent": [[eps / 2.0, 0.0], [eps / 2.0, delta / 2.0]],
         "stage_budgets_paper_split": [[eps / 2.0, delta / 2.0],
@@ -737,32 +677,31 @@ def replay_mechanism(
             "replay is only defined for seeded runs"
         )
     name = ledger["mechanism"]
-    if name == "exponential_mechanism":
-        return exponential_mechanism(
-            p, Z, a, ledger["eps"], ledger["xi"], seed,
-            force_walk=ledger.get("force_walk", False),
-        )
-    if name == "grad_norm_exp_mechanism":
-        return grad_norm_exp_mechanism(
-            p, Z, a, ledger["eps"], ledger["xi"], seed,
-            force_walk=ledger.get("force_walk", False),
-        )
-    if name == "regularized_exp_mechanism":
-        return regularized_exp_mechanism(
-            p, Z, a, ledger["eps"], ledger["delta"], ledger["mode"],
-            ledger["xi"], seed, k_reg=ledger.get("k_reg", K_REG),
-            force_walk=ledger.get("force_walk", False),
-        )
-    if name == "dp_second_order_gd":
-        return dp_second_order_gd(
-            p, Z, a, ledger["eps"], ledger["delta"],
-            x0=np.array(ledger["x0"], dtype=float),
-            overrides=ledger.get("overrides") or None,
-            rng=seed,
-        )
-    if name == "warm_start":
-        return warm_start(
-            p, Z, a, ledger["eps"], ledger["delta"], ledger["xi"], seed,
-            stage_b_overrides=ledger.get("stage_b_overrides") or None,
-        )
-    raise ConfigurationError(f"unknown mechanism {name!r}")
+    if name not in MECHANISMS:
+        raise ConfigurationError(f"unknown mechanism {name!r}")
+    recorded = {k: ledger[k] for k in MECHANISMS[name].params if k in ledger}
+    return globals()[name](p, Z, a, rng=seed, **recorded)
+
+
+class _MechanismSpec(NamedTuple):
+    """How a mechanism is driven by name."""
+
+    #: keyword parameters the ledger records under the same names
+    params: tuple[str, ...]
+    #: samplers only: (ledger parameters, Evaluator) from those keywords bar force_walk
+    score: Optional[Callable[..., tuple[dict, Evaluator]]] = None
+
+
+#: Mechanisms by name.  The functions themselves are looked up by name when
+#: called (replay_mechanism, the CLI), so rebinding a module attribute reaches
+#: every caller.
+MECHANISMS = {
+    "exponential_mechanism": _MechanismSpec(
+        ("eps", "xi", "force_walk"), partial(_exp_score, kind="phi")),
+    "grad_norm_exp_mechanism": _MechanismSpec(
+        ("eps", "xi", "force_walk"), partial(_exp_score, kind="grad_norm")),
+    "regularized_exp_mechanism": _MechanismSpec(
+        ("eps", "delta", "mode", "xi", "k_reg", "force_walk"), _regularized_score),
+    "dp_second_order_gd": _MechanismSpec(("eps", "delta", "x0", "overrides")),
+    "warm_start": _MechanismSpec(("eps", "delta", "xi", "stage_b_overrides")),
+}

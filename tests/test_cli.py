@@ -56,6 +56,9 @@ def test_config_roundtrip(tmp_path):
     {"sweep": {"n": []}},
     {"trials_per_cell": 0},
     {"instance": "hard"},
+    {"mechanism": {"name": "exponential_mechanism",
+                   "params": {"force_wallk": True}}},
+    {"mechanism": {"name": "dp_second_order_gd", "params": {"xi": 0.5}}},
 ])
 def test_config_rejections(tmp_path, mutate):
     raw = config_dict(tmp_path)

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from dpbilevel.errors import SamplerFailure
-from dpbilevel.gridwalk.engine import (
-    available_engines,
-    run_walk,
-    walk_step,
-)
+from dpbilevel.gridwalk.engine import available_engines, run_walk
 from dpbilevel.gridwalk.grid import grid_with_cells
 from dpbilevel.problem import Domain
 
@@ -22,59 +18,57 @@ def box(d, half=0.5):
 
 
 class ScriptedRng:
-    """Feeds walk_step a fixed sequence of (lazy, direction, accept) rows."""
+    """Generator stand-in whose one-step block is a scripted (lazy, direction, accept) row."""
 
-    def __init__(self, *rows):
-        self._rows = [np.asarray(r, dtype=float) for r in rows]
+    def __init__(self, row):
+        self._row = np.asarray(row, dtype=float).reshape(1, 3)
 
     def random(self, size):
-        assert size == 3
-        return self._rows.pop(0)
+        assert size == (1, 3)
+        return self._row
 
 
-class TableEvaluator:
-    def __init__(self, grid, values):
-        self._grid = grid
-        self._values = np.asarray(values, dtype=float)
-
-    def eval(self, point):
-        return float(self._values[self._grid.cell_of(point)])
+def one_step(engine, table, grid, state, row):
+    return run_walk(np.asarray(table, dtype=float), grid, 1, ScriptedRng(row),
+                    state, engine=engine).state
 
 
 # ---------------------------------------------------------------------------
-# single-step oracle values
+# single-step oracle values, on the kernels that run
 # ---------------------------------------------------------------------------
 
-def test_step_lazy_hold():
-    grid = grid_with_cells(box(1), 4)
-    ev = TableEvaluator(grid, np.zeros(4))
-    rng = ScriptedRng([0.49, 0.0, 0.0])
-    assert walk_step(1, ev, grid, rng) == 1
+ENGINES = pytest.mark.parametrize("engine", available_engines())
 
 
-def test_step_flat_scores_always_accept():
+@ENGINES
+def test_step_lazy_hold(engine):
     grid = grid_with_cells(box(1), 4)
-    ev = TableEvaluator(grid, np.zeros(4))
+    assert one_step(engine, np.zeros(4), grid, 1, [0.49, 0.0, 0.0]) == 1
+
+
+@ENGINES
+def test_step_flat_scores_always_accept(engine):
+    grid = grid_with_cells(box(1), 4)
     # move, propose axis-0 "+" (j=0), acceptance uniform at its worst
-    rng = ScriptedRng([0.9, 0.1, 1.0 - 1e-12])
-    assert walk_step(1, ev, grid, rng) == 2
+    assert one_step(engine, np.zeros(4), grid, 1, [0.9, 0.1, 1.0 - 1e-12]) == 2
 
 
-def test_step_uphill_log2_accepts_below_half():
+@ENGINES
+def test_step_uphill_log2_accepts_below_half(engine):
     grid = grid_with_cells(box(1), 4)
-    ev = TableEvaluator(grid, [0.0, 0.0, math.log(2.0), 0.0])
+    table = [0.0, 0.0, math.log(2.0), 0.0]
     up = [0.9, 0.1, 0.499]  # state 1 -> 2 climbs by ln 2
     down = [0.9, 0.1, 0.501]
-    assert walk_step(1, ev, grid, ScriptedRng(up)) == 2
-    assert walk_step(1, ev, grid, ScriptedRng(down)) == 1
+    assert one_step(engine, table, grid, 1, up) == 2
+    assert one_step(engine, table, grid, 1, down) == 1
 
 
-def test_step_corner_rejects_off_cube_proposals():
+@ENGINES
+def test_step_corner_rejects_off_cube_proposals(engine):
     grid = grid_with_cells(box(2), 3)
-    ev = TableEvaluator(grid, np.zeros(9))
     # state 0 is the (0, 0) corner; j in {0,1,2,3} via the direction uniform
     outcomes = [
-        walk_step(0, ev, grid, ScriptedRng([0.9, u1, 0.0]))
+        one_step(engine, np.zeros(9), grid, 0, [0.9, u1, 0.0])
         for u1 in (0.1, 0.3, 0.6, 0.9)
     ]
     moved = [s for s in outcomes if s != 0]

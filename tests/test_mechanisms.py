@@ -283,11 +283,34 @@ def run_all_five(fx_quad, Z_quad, fx_hard, Z_hard):
     ]
 
 
+SAMPLER_KEYS = {"mechanism", "eps", "xi", "seed", "force_walk", "n", "zeta",
+                "xi_used", "L_lip2", "plan", "cell", "restarts", "walk_faults"}
+DESCENT_KEYS = {"mechanism", "eps", "delta", "seed", "x0", "overrides", "n",
+                "T", "eta", "alpha", "sigma", "sigma_schedule",
+                "gap_upper_bound", "K", "C", "beta_phi", "picked_iterate",
+                "privacy_certified"}
+#: each mechanism's ledger keys, which are also its results.csv columns
+LEDGER_KEYS = {
+    "exponential_mechanism": SAMPLER_KEYS | {"eps_prime", "sensitivity", "coeff"},
+    "grad_norm_exp_mechanism": SAMPLER_KEYS | {"eps_prime", "sensitivity", "coeff"},
+    "regularized_exp_mechanism": SAMPLER_KEYS | {"delta", "mode", "k_reg", "G",
+                                                 "mu_reg", "k"},
+    "dp_second_order_gd": DESCENT_KEYS,
+    "warm_start": {"mechanism", "eps", "delta", "xi", "seed",
+                   "stage_b_overrides", "gap_upper_bound",
+                   "stage_budgets_spent", "stage_budgets_paper_split",
+                   "total_spent", "stage_a", "stage_b"},
+}
+
+
 def test_replay_is_bit_identical(quad, hard):
     fxq, Zq = quad
     fxh, Zh = hard
-    for res in run_all_five(fxq, Zq, fxh, Zh):
+    results = run_all_five(fxq, Zq, fxh, Zh)
+    assert [r.ledger["mechanism"] for r in results] == list(LEDGER_KEYS)
+    for res in results:
         name = res.ledger["mechanism"]
+        assert set(res.ledger) == LEDGER_KEYS[name], name
         source = (fxh, Zh) if name == "warm_start" else (fxq, Zq)
         again = replay_mechanism(source[0].problem, source[1],
                                  source[0].constants, res)
@@ -295,6 +318,10 @@ def test_replay_is_bit_identical(quad, hard):
         if res.trajectory is not None:
             np.testing.assert_array_equal(res.trajectory, again.trajectory)
         assert res.budget_spent == again.budget_spent
+        assert again.ledger == res.ledger, name
+    stages = results[-1].ledger
+    assert set(stages["stage_a"]) == LEDGER_KEYS["exponential_mechanism"]
+    assert set(stages["stage_b"]) == DESCENT_KEYS
 
 
 def test_replay_from_parsed_json(quad):
@@ -316,10 +343,16 @@ def test_replay_requires_recorded_seed(quad):
         replay_mechanism(fx.problem, Z, fx.constants, live)
 
 
-def test_exponential_mechanism_json_roundtrip(quad):
+@pytest.mark.parametrize("force_walk", [False, True])
+def test_exponential_mechanism_json_roundtrip(quad, force_walk):
     fx, Z = quad
-    res = exponential_mechanism(fx.problem, Z, fx.constants, 1.2, 0.2, rng=7)
+    res = exponential_mechanism(fx.problem, Z, fx.constants, 1.2, 0.2, rng=7,
+                                force_walk=force_walk)
+    assert res.ledger["plan"]["branch"] == ("walk" if force_walk else "enumerate")
     revived = MechanismResult.from_json(res.to_json())
     assert revived.trajectory is None
     assert revived.ledger == res.ledger
     np.testing.assert_array_equal(revived.x_out, res.x_out)
+    again = replay_mechanism(fx.problem, Z, fx.constants, revived)
+    np.testing.assert_array_equal(again.x_out, res.x_out)
+    assert again.ledger == res.ledger
