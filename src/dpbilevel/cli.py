@@ -21,8 +21,10 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import math
+import multiprocessing
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,12 +135,18 @@ class ExperimentConfig:
         )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, seed: Optional[int] = None,
+                output_dir: Optional[str] = None) -> ExperimentConfig:
+    """Read a config file; seed and output_dir, when given, override its own."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    if seed is not None:
+        raw["seed"] = seed
+    if output_dir is not None:
+        raw["output_dir"] = output_dir
     return ExperimentConfig.from_dict(raw)
 
 
@@ -223,11 +231,6 @@ def run_trial(config: ExperimentConfig, cell_index: int, cell: dict,
     return row
 
 
-def _trial_task(payload: tuple) -> dict:
-    raw, cell_index, cell, trial = payload
-    return run_trial(ExperimentConfig.from_dict(raw), cell_index, cell, trial)
-
-
 def _write_csv(path: Path, rows: list[dict], lead: list[str]):
     extra = sorted({k for row in rows for k in row} - set(lead))
     columns = lead + extra
@@ -244,17 +247,18 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, stderr
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1,
-                   config_raw: Optional[dict] = None) -> dict:
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> dict:
     """Execute every (cell, trial), write results.csv and summary.csv."""
     cells = _cells(config)
     tasks = [(cell_index, cell, trial)
              for cell_index, cell in enumerate(cells)
              for trial in range(config.trials_per_cell)]
-    if workers > 1 and config_raw is not None and len(tasks) > 1:
-        payloads = [(config_raw, ci, cell, tr) for ci, cell, tr in tasks]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_trial_task, payloads))
+    if workers > 1 and len(tasks) > 1:
+        # spawned workers: forking a process whose BLAS may hold threads is unsafe
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            rows = list(pool.map(functools.partial(run_trial, config), *zip(*tasks)))
     else:
         rows = [run_trial(config, ci, cell, tr) for ci, cell, tr in tasks]
     rows.sort(key=lambda row: (row["cell"], row["trial"]))
@@ -525,24 +529,14 @@ def run_audits(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_run(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["output_dir"] = args.out
-    config = ExperimentConfig.from_dict(raw)
-    summary = run_experiment(config, workers=args.workers, config_raw=raw)
+    config = load_config(args.config, args.seed, args.out)
+    summary = run_experiment(config, workers=args.workers)
     print(json.dumps(summary, indent=2))
     return 0
 
 
 def _cmd_audit(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["output_dir"] = args.out
-    config = ExperimentConfig.from_dict(raw)
+    config = load_config(args.config, args.seed, args.out)
     outcome = run_audits(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

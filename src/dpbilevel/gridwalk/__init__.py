@@ -13,7 +13,7 @@ from .chain import (
 from .engine import available_engines, run_walk
 from .evaluator import Evaluator, ExtendedEvaluator
 from .grid import GridSpec, build_grid, grid_with_cells
-from .sampler import SamplerPlan, grid_law, plan_sampler, sample_logconcave, sample_logconcave_detailed
+from .sampler import SamplerPlan, grid_law, plan_sampler, sample_logconcave_detailed
 
 __all__ = [
     "ChainAnalysis",
@@ -32,7 +32,6 @@ __all__ = [
     "mixing_time_bound",
     "plan_sampler",
     "run_walk",
-    "sample_logconcave",
     "sample_logconcave_detailed",
     "stationary_from_scores",
     "transition_matrix",

@@ -8,24 +8,22 @@ Off-diagonal transition probabilities are therefore
 Gibbs law proportional to exp(-f') by detailed balance.
 
 These routines build the dense transition matrix, its stationary law,
-spectral gap, exact conductance by subset enumeration, exact L-infinity
-mixing distances via matrix powers, and the closed-form mixing-time budget
-used by the sampler.  Everything here is for audit-scale chains; the actual
-sampler never materializes a matrix.
+exact conductance by subset enumeration, the spectral gap on request,
+exact L-infinity mixing distances via matrix powers, and the closed-form
+mixing-time budget used by the sampler.  Everything here is for
+audit-scale chains; the actual sampler never materializes a matrix.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import scipy.sparse.csgraph
 
 from ..errors import SizeCapError
-from .evaluator import Evaluator
 from .grid import EXACT_STATE_CAP, GridSpec
 
 #: explicit constant in the mixing-time budget
@@ -77,24 +75,16 @@ class ChainAnalysis:
     f_values: np.ndarray
     transition: np.ndarray
     stationary: np.ndarray
-    spectral_gap: float
     conductance_phi: Optional[float]
     reducible: bool
 
     def cheeger_interval(self) -> tuple[float, float]:
-        """(gap/2, sqrt(2*gap)) bracket for the conductance."""
-        return self.spectral_gap / 2.0, math.sqrt(2.0 * self.spectral_gap)
+        """(gap/2, sqrt(2*gap)) bracket for the conductance.
 
-    def to_json_report(self) -> str:
-        return json.dumps({
-            "states": int(self.grid.state_count),
-            "cells_per_axis": int(self.grid.cells_per_axis),
-            "d": int(self.grid.d),
-            "stationary": self.stationary.tolist(),
-            "conductance_phi": self.conductance_phi,
-            "spectral_gap": self.spectral_gap,
-            "reducible": self.reducible,
-        })
+        The spectral gap takes one dense eigensolve, run on each call.
+        """
+        gap = _spectral_gap(self.transition, self.stationary)
+        return gap / 2.0, math.sqrt(2.0 * gap)
 
 
 def _spectral_gap(P: np.ndarray, pi: np.ndarray) -> float:
@@ -108,52 +98,43 @@ def _spectral_gap(P: np.ndarray, pi: np.ndarray) -> float:
     return float(1.0 - eigs[-2]) if len(eigs) > 1 else 1.0
 
 
-def exact_chain(
-    evaluator: Evaluator | np.ndarray,
-    grid: GridSpec,
-    state_cap: int = EXACT_STATE_CAP,
-) -> ChainAnalysis:
+def exact_chain(f_values: np.ndarray, grid: GridSpec) -> ChainAnalysis:
     """Materialize the chain at audit scale (dense matrix, exact stationary law).
 
-    evaluator may be an Evaluator (scored at the cell centers) or a precomputed
-    score vector.  Conductance is filled exactly when the state count is within
-    the enumeration cap, else left as None (use the Cheeger interval instead).
+    f_values are the scores at the cell centers, in flat-index order.
+    Conductance is filled exactly when the state count is within the
+    enumeration cap, else left as None.  No eigensolve runs here: the
+    spectral gap is computed only by cheeger_interval().
     """
     n = grid.state_count
-    if n > state_cap:
-        raise SizeCapError(f"{n} states exceed the exact-analysis cap {state_cap}")
-    if isinstance(evaluator, Evaluator) or hasattr(evaluator, "evaluate_many"):
-        f = evaluator.evaluate_many(grid.centers_all())
-    else:
-        f = np.asarray(evaluator, dtype=float)
+    if n > EXACT_STATE_CAP:
+        raise SizeCapError(f"{n} states exceed the exact-analysis cap {EXACT_STATE_CAP}")
+    f = np.asarray(f_values, dtype=float)
     P = transition_matrix(f, grid)
     pi = stationary_from_scores(f)
     ncomp, _ = scipy.sparse.csgraph.connected_components(
         P > 0, directed=True, connection="strong")
     reducible = ncomp > 1
-    gap = _spectral_gap(P, pi)
     analysis = ChainAnalysis(
         grid=grid, f_values=f, transition=P, stationary=pi,
-        spectral_gap=gap, conductance_phi=None, reducible=reducible,
+        conductance_phi=None, reducible=reducible,
     )
     if n <= CONDUCTANCE_STATE_CAP:
         phi = 0.0 if reducible else conductance_exact(analysis)
-        analysis = ChainAnalysis(
-            grid=grid, f_values=f, transition=P, stationary=pi,
-            spectral_gap=gap, conductance_phi=phi, reducible=reducible,
-        )
+        analysis = replace(analysis, conductance_phi=phi)
     return analysis
 
 
-def conductance_exact(analysis: ChainAnalysis, state_cap: int = CONDUCTANCE_STATE_CAP) -> float:
+def conductance_exact(analysis: ChainAnalysis) -> float:
     """Exhaustive-minimum conductance over all subsets with mass in (0, 1/2].
 
-    Vectorized over all 2^n - 2 proper subsets; refuses above the cap.
+    Vectorized over all 2^n - 2 proper subsets; refuses above
+    CONDUCTANCE_STATE_CAP states.
     """
     n = analysis.grid.state_count
-    if n > state_cap:
+    if n > CONDUCTANCE_STATE_CAP:
         raise SizeCapError(
-            f"{n} states exceed the conductance enumeration cap {state_cap}; "
+            f"{n} states exceed the conductance enumeration cap {CONDUCTANCE_STATE_CAP}; "
             "use the Cheeger interval from the spectral gap instead"
         )
     pi = analysis.stationary
@@ -172,11 +153,10 @@ def conductance_exact(analysis: ChainAnalysis, state_cap: int = CONDUCTANCE_STAT
 
 def mixing_time_bound(
     alpha_lip: float, tau: float, d: int, eps_acc: float, zeta_bound: float,
-    k_mix: float = K_MIX,
 ) -> int:
     """Step budget after which the walk is within eps_acc of stationary.
 
-    k_mix * e^{12 zeta} * (alpha^2 tau^2 d^2 / eps^2) * e^{eps}
+    K_MIX * e^{12 zeta} * (alpha^2 tau^2 d^2 / eps^2) * e^{eps}
           * max(d * ln(alpha tau sqrt(d) / eps), alpha tau)
 
     The perturbation enters only through the e^{12 zeta} factor: a zeta-sized
@@ -188,7 +168,7 @@ def mixing_time_bound(
     log_arg = at * math.sqrt(d) / eps_acc
     log_term = d * math.log(log_arg) if log_arg > 1.0 else 0.0
     core = (at * d / eps_acc) ** 2 * math.exp(eps_acc) * max(log_term, at)
-    return max(1, int(math.ceil(k_mix * math.exp(12.0 * zeta_bound) * core)))
+    return max(1, int(math.ceil(K_MIX * math.exp(12.0 * zeta_bound) * core)))
 
 
 def linf_mixing_distance(

@@ -85,11 +85,10 @@ def run_walk(
     start_state: int,
     engine: str = "auto",
     score_fill: Optional[Callable[[int], float]] = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> WalkResult:
     """Run the lazy walk for a fixed step budget and return the final cell.
 
-    Uniforms are drawn from rng in fixed blocks of block_size rows, so the
+    Uniforms are drawn from rng in blocks of DEFAULT_BLOCK_SIZE rows, so the
     stream consumed is a function of steps alone — faults, engine choice,
     and score_fill behavior never shift it.  score_fill(index) is invoked to
     replace NaN table entries on demand; a fault without one is an error.
@@ -116,7 +115,7 @@ def run_walk(
     faults = 0
     remaining = int(steps)
     while remaining > 0:
-        rows = min(remaining, block_size)
+        rows = min(remaining, DEFAULT_BLOCK_SIZE)
         U = rng.random((rows, 3))
         offset = 0
         while offset < rows:

@@ -26,11 +26,7 @@ EXACT_STATE_CAP = 4096
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometry of one cube grid.
-
-    concavity_slack_beta is recorded metadata for approximately log-concave
-    scores; nothing in the package consumes it yet.
-    """
+    """Geometry of one cube grid."""
 
     cube_low: np.ndarray
     tau: float
@@ -38,7 +34,6 @@ class GridSpec:
     cells_per_axis: int
     d: int
     state_count: int
-    concavity_slack_beta: float = 0.0
     _strides: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -96,16 +91,12 @@ def _make(domain: Domain, cells_per_axis: int) -> GridSpec:
     )
 
 
-def build_grid(
-    domain: Domain,
-    alpha_lip: float,
-    eps_acc: float,
-    state_cap: int = WALK_STATE_CAP,
-) -> GridSpec:
+def build_grid(domain: Domain, alpha_lip: float, eps_acc: float) -> GridSpec:
     """Grid sized for target accuracy eps_acc against an alpha_lip-Lipschitz score.
 
     gamma = min(eps_acc / (2 * alpha_lip * sqrt(d)), 1 / (2 * alpha_lip)),
     then snapped so an integer number of cells tiles the cube exactly.
+    Raises SizeCapError above WALK_STATE_CAP states.
     """
     if eps_acc <= 0:
         raise ConfigurationError("eps_acc must be positive")
@@ -117,9 +108,9 @@ def build_grid(
         raise ConfigurationError("domain has zero width")
     gamma = min(eps_acc / (2.0 * alpha_lip * math.sqrt(d)), 1.0 / (2.0 * alpha_lip))
     cells = int(math.ceil(tau / gamma))
-    if cells**d > state_cap:
+    if cells**d > WALK_STATE_CAP:
         raise SizeCapError(
-            f"grid would need {cells}^{d} states, above the cap {state_cap}"
+            f"grid would need {cells}^{d} states, above the cap {WALK_STATE_CAP}"
         )
     return _make(domain, cells)
 

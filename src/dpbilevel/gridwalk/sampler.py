@@ -1,11 +1,12 @@
 """Sampling from exp(-f) over a convex body, given only inexact scores.
 
 The score f is known on the body through an Evaluator whose values may be
-off by zeta pointwise.  sample_logconcave extends f to the body's enclosing
-cube (projection + distance term + gauge penalty, see ExtendedEvaluator),
-draws a point on the cube whose law tracks exp(-extension), and keeps it
-only if it lies in the body — conditioning that turns the cube law back
-into exp(-f) on the body, within sup-log-ratio 2*zeta + xi.
+off by zeta pointwise.  sample_logconcave_detailed extends f to the body's
+enclosing cube (projection + distance term + gauge penalty, see
+ExtendedEvaluator), draws a point on the cube whose law tracks
+exp(-extension), and keeps it only if it lies in the body — conditioning
+that turns the cube law back into exp(-f) on the body, within sup-log-ratio
+2*zeta + xi.
 
 Per attempt the cube point is produced one of three ways, picked once by
 plan_sampler:
@@ -20,7 +21,7 @@ plan_sampler:
 Grid attempts finish by proposing a uniform point theta in the landed cell
 and accepting with exp(-f'(theta)) / (e * exp(-f'(center))); a rejection
 discards the whole attempt (the walk is restarted, matching the analyzed
-procedure) up to a restart cap.
+procedure) up to RESTART_CAP attempts.
 """
 
 from __future__ import annotations
@@ -87,18 +88,18 @@ def plan_sampler(
     xi: float,
     zeta: float,
     force_walk: bool = False,
-    force_grid: bool = False,
-    enum_cap: int = ENUM_STATE_CAP,
-    walk_cap: int = WALK_STATE_CAP,
 ) -> SamplerPlan:
     """Choose a strategy for accuracy budget xi under evaluation error zeta.
 
     The budget is split evenly: half to grid discretization, half to walk
     mixing (branches that sample their grid law exactly simply keep the
-    second half).  When the accuracy-sized grid is too large even to walk,
-    the planner falls back to the coarsest valid grid (gamma = 1/(2 alpha))
-    provided that one is enumerable — exact sampling on a coarser grid
-    rather than no answer; the achieved gamma is visible on the plan.
+    second half).  Grids of up to ENUM_STATE_CAP states are enumerated,
+    larger ones walked, up to WALK_STATE_CAP.  When the accuracy-sized grid
+    is too large even to walk, the planner falls back to the coarsest valid
+    grid (gamma = 1/(2 alpha)) provided that one is enumerable — exact
+    sampling on a coarser grid rather than no answer; the achieved gamma is
+    visible on the plan.  force_walk disables the short-cube and
+    enumeration branches and the coarse fallback.
     """
     if xi <= 0:
         raise ConfigurationError("xi must be positive")
@@ -114,27 +115,27 @@ def plan_sampler(
         return SamplerPlan(branch, grid, 1 if force_walk else 0,
                            alpha_lip, tau, xi, zeta)
 
-    if alpha_lip * tau < 1.0 and not (force_walk or force_grid):
+    if alpha_lip * tau < 1.0 and not force_walk:
         return SamplerPlan("short_cube", None, 0, alpha_lip, tau, xi, zeta)
 
     acc = xi / 2.0
     try:
-        grid = build_grid(domain, alpha_lip, acc, state_cap=walk_cap)
+        grid = build_grid(domain, alpha_lip, acc)
     except SizeCapError:
         grid = None
 
-    if grid is not None and grid.state_count <= enum_cap and not force_walk:
+    if grid is not None and grid.state_count <= ENUM_STATE_CAP and not force_walk:
         return SamplerPlan("enumerate", grid, 0, alpha_lip, tau, xi, zeta)
     if grid is not None:
         steps = mixing_time_bound(alpha_lip, tau, d, acc, zeta)
         return SamplerPlan("walk", grid, steps, alpha_lip, tau, xi, zeta)
     if not force_walk:
         m_min = max(1, int(math.ceil(2.0 * alpha_lip * tau)))
-        if m_min**d <= enum_cap:
+        if m_min**d <= ENUM_STATE_CAP:
             coarse = grid_with_cells(domain, m_min, alpha_lip=alpha_lip)
             return SamplerPlan("enumerate", coarse, 0, alpha_lip, tau, xi, zeta)
     raise SizeCapError(
-        f"no feasible grid: accuracy grid exceeds {walk_cap} states "
+        f"no feasible grid: accuracy grid exceeds {WALK_STATE_CAP} states "
         f"and no enumerable fallback exists (d={d}, alpha*tau={alpha_lip * tau:.3g})"
     )
 
@@ -157,20 +158,13 @@ def grid_law(evaluator, grid: GridSpec) -> np.ndarray:
     return stationary_from_scores(table)
 
 
-def extend_to_cube(
-    evaluator: Evaluator,
-    domain: Domain,
-    L_lip2: float,
-    alpha_gauge: Optional[float] = None,
-) -> ExtendedEvaluator:
+def extend_to_cube(evaluator: Evaluator, domain: Domain, L_lip2: float) -> ExtendedEvaluator:
     """The cube-wide score the sampler actually runs on.
 
-    alpha_gauge defaults to 2 * L_lip2 * diameter, heavy enough that the
+    The gauge penalty weight is 2 * L_lip2 * diameter, heavy enough that the
     mass the extension leaves outside the body stays negligible.
     """
-    if alpha_gauge is None:
-        alpha_gauge = 2.0 * L_lip2 * domain.diameter
-    return ExtendedEvaluator(evaluator, domain, L_lip2, alpha_gauge)
+    return ExtendedEvaluator(evaluator, domain, L_lip2, 2.0 * L_lip2 * domain.diameter)
 
 
 def sample_logconcave_detailed(
@@ -179,27 +173,22 @@ def sample_logconcave_detailed(
     L_lip2: float,
     xi: float,
     rng: Union[int, np.random.Generator],
-    alpha_gauge: Optional[float] = None,
     force_walk: bool = False,
-    force_grid: bool = False,
     plan: Optional[SamplerPlan] = None,
-    restart_cap: int = RESTART_CAP,
     engine: str = "auto",
 ) -> SampleDetail:
     """Draw one in-body point whose law is within 2*zeta + xi of exp(-f)/Z.
 
-    force_grid returns the landed cell center itself (possibly outside the
-    body, no acceptance step) — a testing hook for comparing against the
-    exact grid law.  force_walk disables the short-cube and enumeration
-    shortcuts.
+    The plan comes from plan_sampler on the cube extension unless one is
+    given; force_walk is passed on to it.  engine picks the walk kernel
+    (see run_walk).  Raises SamplerFailure after RESTART_CAP rejected
+    attempts.
     """
     _, gen = seed_and_generator(rng)
-    ext = extend_to_cube(evaluator, domain, L_lip2, alpha_gauge)
+    ext = extend_to_cube(evaluator, domain, L_lip2)
     if plan is None:
-        plan = plan_sampler(
-            domain, ext.alpha_lip, xi, ext.zeta_bound,
-            force_walk=force_walk, force_grid=force_grid,
-        )
+        plan = plan_sampler(domain, ext.alpha_lip, xi, ext.zeta_bound,
+                            force_walk=force_walk)
 
     d = domain.dim
     cube_low = np.asarray(domain.center, dtype=float) - plan.tau / 2.0
@@ -209,7 +198,7 @@ def sample_logconcave_detailed(
     faults = 0
     used_engine = None
 
-    for attempt in range(restart_cap):
+    for attempt in range(RESTART_CAP):
         if plan.branch == "short_cube":
             if anchor is None:
                 anchor = ext.eval(np.asarray(domain.center, dtype=float))
@@ -235,9 +224,6 @@ def sample_logconcave_detailed(
                 faults += result.faults
             else:
                 raise ConfigurationError(f"unknown sampler branch {plan.branch!r}")
-            if force_grid:
-                return SampleDetail(grid.center(cell), cell, plan, attempt,
-                                    faults, used_engine)
             anchor = float(table[cell])
             theta = grid.cube_low + (np.array(grid.unravel(cell), dtype=float)
                                      + gen.random(d)) * grid.gamma
@@ -248,18 +234,7 @@ def sample_logconcave_detailed(
             return SampleDetail(theta, cell, plan, attempt, faults, used_engine)
 
     raise SamplerFailure(
-        f"sampler exhausted {restart_cap} attempts on branch {plan.branch!r}; "
+        f"sampler exhausted {RESTART_CAP} attempts on branch {plan.branch!r}; "
         "parameters are likely mis-sized"
     )
 
-
-def sample_logconcave(
-    evaluator: Evaluator,
-    domain: Domain,
-    L_lip2: float,
-    xi: float,
-    rng: Union[int, np.random.Generator],
-    **kwargs,
-) -> np.ndarray:
-    """Like sample_logconcave_detailed, returning only the point."""
-    return sample_logconcave_detailed(evaluator, domain, L_lip2, xi, rng, **kwargs).theta

@@ -1,6 +1,7 @@
 """Config validation, experiment runs, audits, and exit codes."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -127,10 +128,40 @@ def test_parallel_run_matches_serial(tmp_path):
     raw_a = config_dict(tmp_path / "serial")
     raw_b = config_dict(tmp_path / "parallel")
     run_experiment(ExperimentConfig.from_dict(raw_a))
-    run_experiment(ExperimentConfig.from_dict(raw_b), workers=2,
-                   config_raw=raw_b)
+    run_experiment(ExperimentConfig.from_dict(raw_b), workers=2)
     assert ((tmp_path / "serial" / "results.csv").read_text()
             == (tmp_path / "parallel" / "results.csv").read_text())
+
+
+def test_parallel_run_uses_the_pool(tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """In-process stand-in that pickles the task as a worker would."""
+
+        def __init__(self, max_workers, mp_context=None):
+            self.max_workers = max_workers
+            self.tasks = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            fn = pickle.loads(pickle.dumps(fn))
+            for args in zip(*iterables):
+                self.tasks += 1
+                yield fn(*pickle.loads(pickle.dumps(args)))
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    raw = config_dict(tmp_path / "pooled")
+    outcome = run_experiment(ExperimentConfig.from_dict(raw), workers=2)
+    assert [(p.max_workers, p.tasks) for p in pools] == [(2, 4)]
+    assert outcome["trials"] == 4 and outcome["errors"] == 0
 
 
 def test_failing_trials_are_rows_not_crashes(tmp_path):
@@ -239,6 +270,12 @@ def test_main_seed_and_out_overrides(tmp_path):
 
 def test_main_missing_config_is_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_main_directory_config_is_config_error(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 1
     assert "config error" in capsys.readouterr().err
 
 

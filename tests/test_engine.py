@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpbilevel.errors import SamplerFailure
+from dpbilevel.gridwalk import engine as engine_module
 from dpbilevel.gridwalk.engine import available_engines, run_walk
 from dpbilevel.gridwalk.grid import grid_with_cells
 from dpbilevel.problem import Domain
@@ -80,6 +81,12 @@ def test_step_corner_rejects_off_cube_proposals(engine):
 # batch kernel
 # ---------------------------------------------------------------------------
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Draw uniforms in 512-row blocks, so a 4000-step walk spans several."""
+    monkeypatch.setattr(engine_module, "DEFAULT_BLOCK_SIZE", 512)
+
+
 def run_pair(engine, seed=7, steps=4000, fill_nan=False):
     grid = grid_with_cells(box(2), 9)
     rng = np.random.default_rng(123)
@@ -94,10 +101,10 @@ def run_pair(engine, seed=7, steps=4000, fill_nan=False):
             return float(scores[idx])
 
     return run_walk(table, grid, steps, np.random.default_rng(seed), 40,
-                    engine=engine, score_fill=score_fill, block_size=512)
+                    engine=engine, score_fill=score_fill)
 
 
-def test_python_engine_runs():
+def test_python_engine_runs(small_blocks):
     result = run_pair("python")
     assert result.engine == "python"
     assert result.steps == 4000
@@ -105,7 +112,7 @@ def test_python_engine_runs():
 
 
 @pytest.mark.skipif(not HAS_COMPILED, reason="compiled engine not built")
-def test_engines_bit_identical():
+def test_engines_bit_identical(small_blocks):
     a = run_pair("python")
     b = run_pair("compiled")
     assert a.state == b.state
@@ -114,7 +121,7 @@ def test_engines_bit_identical():
 
 @pytest.mark.parametrize("engine",
                          ["python"] + (["compiled"] if HAS_COMPILED else []))
-def test_faults_do_not_shift_the_stream(engine):
+def test_faults_do_not_shift_the_stream(engine, small_blocks):
     clean = run_pair(engine)
     lazy = run_pair(engine, fill_nan=True)
     assert lazy.faults > 0
@@ -149,12 +156,12 @@ def test_engine_argument_validation():
         run_walk(table, grid, 10, np.random.default_rng(0), 99)
 
 
-def test_block_size_invisible():
+def test_block_size_invisible(monkeypatch):
     grid = grid_with_cells(box(1), 16)
     table = np.abs(np.linspace(-1, 1, 16))
-    outs = {
-        run_walk(table, grid, 1000, np.random.default_rng(5), 8,
-                 engine="python", block_size=bs).state
-        for bs in (7, 64, 4096)
-    }
+    outs = set()
+    for bs in (7, 64, 4096):
+        monkeypatch.setattr(engine_module, "DEFAULT_BLOCK_SIZE", bs)
+        outs.add(run_walk(table, grid, 1000, np.random.default_rng(5), 8,
+                          engine="python").state)
     assert len(outs) == 1

@@ -51,8 +51,7 @@ def test_grid_rejects_zero_accuracy():
 
 def test_grid_size_cap():
     with pytest.raises(SizeCapError):
-        build_grid(box(3, half=1.0), alpha_lip=200.0, eps_acc=1e-3,
-                   state_cap=2**20)
+        build_grid(box(3, half=1.0), alpha_lip=200.0, eps_acc=1e-3)
 
 
 def test_cell_center_roundtrip():
@@ -135,6 +134,29 @@ def test_infinite_score_disconnects():
     analysis = exact_chain(f, grid)
     assert analysis.reducible
     assert analysis.conductance_phi == 0.0
+
+
+def test_exact_chain_runs_no_eigensolve(monkeypatch):
+    rng = np.random.default_rng(4)
+    big_grid, small_grid = grid_with_cells(box(2), 8), grid_with_cells(box(2), 4)
+    f_big, f_small = rng.normal(size=64), rng.normal(size=16)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact_chain ran a dense eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    big = exact_chain(f_big, big_grid)
+    small = exact_chain(f_small, small_grid)
+    monkeypatch.undo()
+
+    np.testing.assert_array_equal(big.transition, transition_matrix(f_big, big_grid))
+    np.testing.assert_array_equal(big.stationary, stationary_from_scores(f_big))
+    assert big.conductance_phi is None  # 64 states: above the enumeration cap
+    assert small.conductance_phi == conductance_exact(small) > 0.0
+    low, high = small.cheeger_interval()
+    assert low <= small.conductance_phi <= high
+    assert 0.0 < big.cheeger_interval()[0]
 
 
 def test_exact_chain_state_cap():

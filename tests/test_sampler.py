@@ -17,9 +17,9 @@ from dpbilevel.gridwalk.sampler import (
     grid_law,
     extend_to_cube,
     plan_sampler,
-    sample_logconcave,
     sample_logconcave_detailed,
 )
+from dpbilevel.gridwalk.engine import run_walk
 from dpbilevel.problem import Domain
 
 
@@ -146,7 +146,7 @@ def test_flat_score_draws_uniformly():
     ev = Evaluator(eval=lambda t: 1.25, zeta_bound=0.0, alpha_lip=0.0)
     gen = np.random.default_rng(42)
     draws = np.array([
-        sample_logconcave(ev, domain, L_lip2=0.0, xi=0.5, rng=gen)[0]
+        sample_logconcave_detailed(ev, domain, L_lip2=0.0, xi=0.5, rng=gen).theta[0]
         for _ in range(10_000)
     ])
     counts, _ = np.histogram(draws, bins=8, range=(-0.5, 0.5))
@@ -207,22 +207,22 @@ def test_perturbed_oracle_stays_within_declared_envelope():
 def test_walk_branch_matches_grid_law(engine):
     domain = box(1)
     ev = abs_evaluator(3.0)
-    base_plan = plan_sampler(domain, 3.0, 0.4, 0.0, force_walk=True)
-    # shrink the (deliberately conservative) step budget: the 8-cell chain
-    # mixes in far fewer steps, and this keeps the frequency test quick
-    from dataclasses import replace
-    plan = replace(base_plan, walk_steps=1500)
+    plan = plan_sampler(domain, 3.0, 0.4, 0.0, force_walk=True)
     assert plan.branch == "walk"
+    # the walk alone, scoring cells lazily as the sampler's walk branch does;
+    # 1500 steps instead of the (deliberately conservative) budget: the
+    # 30-cell chain mixes in far fewer, and this keeps the frequency test quick
+    ext = extend_to_cube(ev, domain, 3.0)
+    grid = plan.grid
     gen = np.random.default_rng(11)
     cells = np.array([
-        sample_logconcave_detailed(
-            ev, domain, 3.0, 0.4, gen, plan=plan,
-            force_grid=True, engine=engine).cell
+        run_walk(np.full(grid.state_count, np.nan), grid, 1500, gen,
+                 start_state=grid.cell_of(domain.center), engine=engine,
+                 score_fill=lambda i: ext.eval(grid.center(i))).state
         for _ in range(800)
     ])
-    ext = extend_to_cube(ev, domain, 3.0)
-    law = grid_law(ext, plan.grid)
-    counts = np.bincount(cells, minlength=plan.grid.state_count)
+    law = grid_law(ext, grid)
+    counts = np.bincount(cells, minlength=grid.state_count)
     assert scipy.stats.chisquare(counts, law * counts.sum()).pvalue > 0.01
 
 
@@ -252,14 +252,13 @@ def test_restart_cap_exhaustion_raises():
     plan = plan_sampler(domain, 0.5, 0.5, 0.0)
     assert plan.branch == "short_cube"
     with pytest.raises(SamplerFailure):
-        sample_logconcave(ev, domain, L_lip2=0.5, xi=0.5,
-                          rng=np.random.default_rng(0), restart_cap=8,
-                          plan=plan)
+        sample_logconcave_detailed(ev, domain, L_lip2=0.5, xi=0.5,
+                                   rng=np.random.default_rng(0), plan=plan)
 
 
 def test_integer_seed_reproduces_draws():
     domain = box(1)
     ev = abs_evaluator(2.0)
-    a = sample_logconcave(ev, domain, 2.0, 0.4, rng=1234)
-    b = sample_logconcave(ev, domain, 2.0, 0.4, rng=1234)
+    a = sample_logconcave_detailed(ev, domain, 2.0, 0.4, rng=1234).theta
+    b = sample_logconcave_detailed(ev, domain, 2.0, 0.4, rng=1234).theta
     np.testing.assert_array_equal(a, b)

@@ -1,0 +1,35 @@
+"""The attributes perfbench's tracer rebinds must exist in the program.
+
+`python3 perfbench/run.py --trace 1` records per-layer spans by rebinding
+the (owner, attribute) pairs listed in `perfbench/spans.py` `TARGETS`.  A
+refactor that renames or removes one of them breaks traced runs; this test
+catches that without running the benchmark.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from dpbilevel.gridwalk import engine, sampler
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves():
+    targets = load_spans().TARGETS
+    assert targets
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in targets
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []
+
+
+def test_tracer_reads_restart_cap_and_engines():
+    assert isinstance(sampler.RESTART_CAP, int) and sampler.RESTART_CAP > 0
+    assert "python" in engine.available_engines()
