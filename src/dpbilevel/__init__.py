@@ -16,8 +16,8 @@ from .errors import (
     SamplerFailure,
     SizeCapError,
 )
-from .hypergrad import Hypergradient, approx_hypergradient, finite_diff_phi_gradient
-from .inner import evaluate_phi_inexact, phi_solution_pair, solve_lower_level
+from .hypergrad import Hypergradient, approx_hypergradient
+from .inner import phi_solution_pair, solve_lower_level
 from .instances import InstanceFixture, make_instance
 from .mechanisms import (
     K_REG,
@@ -69,10 +69,8 @@ __all__ = [
     "derive_seed",
     "dp_second_order_gd",
     "empirical_sensitivity",
-    "evaluate_phi_inexact",
     "exact_dp_audit",
     "exponential_mechanism",
-    "finite_diff_phi_gradient",
     "gaussian_noise",
     "grad_norm_exp_mechanism",
     "make_generator",

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import SizeCapError
 from .gridwalk.chain import (
     CONDUCTANCE_STATE_CAP,
-    conductance_exact,
+    conductance_exact,  # noqa: F401 - a perfbench/spans.py trace target
     dist_inf,
     exact_chain,
     linf_mixing_distance,
@@ -214,8 +214,9 @@ def verify_sampler_lemmas(
 
     ideal = exact_chain(f, grid)
     perturbed = exact_chain(f_pert, grid)
-    phi = conductance_exact(ideal)
-    phi_pert = conductance_exact(perturbed)
+    # within CONDUCTANCE_STATE_CAP, exact_chain has filled the conductance
+    phi = ideal.conductance_phi
+    phi_pert = perturbed.conductance_phi
 
     floor = math.exp(-6.0 * zeta_max) * phi
     ratio = 0.0 if floor == 0.0 else (math.inf if phi_pert == 0.0

@@ -135,14 +135,18 @@ class ExperimentConfig:
         )
 
 
+def _read_json(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+
+
 def load_config(path: str, seed: Optional[int] = None,
                 output_dir: Optional[str] = None) -> ExperimentConfig:
     """Read a config file; seed and output_dir, when given, override its own."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    raw = _read_json(path)
     if seed is not None:
         raw["seed"] = seed
     if output_dir is not None:
@@ -557,7 +561,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
+    raw = _read_json(args.config)
     n = int(raw.pop("n"))
     a = AssumptionConstants(**raw)
     der = derive_constants(a, n)

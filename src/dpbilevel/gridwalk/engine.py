@@ -1,7 +1,8 @@
 """Step engines for the lazy Metropolis walk on cell centers.
 
-Two interchangeable kernels run the same chain: a pure-Python loop and an
-optional compiled one (built from _walkcore.pyx at install time).  Both
+Two interchangeable kernels run the same chain: a pure-Python loop and the
+plain-C walk_block in _walkcore.c, compiled with the system `cc` on first
+use and loaded through ctypes (only Python where that fails).  Both
 consume an identical pre-drawn uniform stream — three uniforms per step
 (laziness, direction, acceptance) — so their trajectories are bit-identical
 and a run can be replayed on either engine.
@@ -15,8 +16,15 @@ to be evaluated lazily.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,17 +32,56 @@ import numpy as np
 from ..errors import SamplerFailure
 from .grid import GridSpec
 
-try:
-    from . import _walkcore
-except ImportError:  # pragma: no cover - depends on the build environment
-    _walkcore = None
-
 DEFAULT_BLOCK_SIZE = 8192
+
+
+@functools.cache
+def _compiled_kernel() -> tuple[Optional[Callable], str]:
+    """Build and load _walkcore.c: (kernel, "") or (None, why it is unavailable).
+
+    No -ffast-math and no -march=native: bit-identity with the Python kernel
+    rests on IEEE comparisons and the same libm exp.  The library file is
+    removed with its directory once loaded; nothing persists between runs.
+    """
+    cc = shutil.which("cc")
+    if cc is None:
+        return None, "no C compiler: cc is not on PATH"
+    source = Path(__file__).with_name("_walkcore.c")
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            lib_path = os.path.join(tmp, "_walkcore.so")
+            subprocess.run(
+                [cc, "-std=c99", "-O2", "-shared", "-fPIC", str(source), "-o", lib_path, "-lm"],
+                check=True, capture_output=True, text=True,
+            )
+            walk_block = ctypes.CDLL(lib_path).walk_block
+    except subprocess.CalledProcessError as exc:
+        return None, f"cc could not compile {source.name}: {exc.stderr.strip()}"
+    except OSError as exc:
+        return None, f"cannot build or load {source.name}: {exc}"
+
+    i64 = ctypes.c_int64
+    i64_ptr = ctypes.POINTER(i64)
+    i64_array = np.ctypeslib.ndpointer(np.int64, ndim=1, flags=("C", "W"))
+    walk_block.argtypes = [
+        np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C"), i64, i64,
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C"), i64_ptr, i64_array,
+        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C"), i64, i64_ptr,
+    ]
+    walk_block.restype = i64
+
+    def kernel(table, m, d, strides, state, coords, U):
+        state_io, fault = i64(state), i64(-1)
+        consumed = walk_block(table, m, d, strides, ctypes.byref(state_io), coords,
+                              U, U.shape[0], ctypes.byref(fault))
+        return state_io.value, consumed, fault.value
+
+    return kernel, ""
 
 
 def available_engines() -> tuple[str, ...]:
     """Names accepted by run_walk's engine argument, fastest last."""
-    return ("python", "compiled") if _walkcore is not None else ("python",)
+    return ("python", "compiled") if _compiled_kernel()[0] is not None else ("python",)
 
 
 def _walk_block_python(table, m, d, strides, state, coords, U):
@@ -93,16 +140,22 @@ def run_walk(
     and score_fill behavior never shift it.  score_fill(index) is invoked to
     replace NaN table entries on demand; a fault without one is an error.
     """
-    if engine == "auto":
-        engine = "compiled" if _walkcore is not None else "python"
-    if engine == "compiled" and _walkcore is None:
-        raise SamplerFailure("compiled walk engine requested but not built")
-    if engine not in ("python", "compiled"):
+    if engine not in ("auto", "python", "compiled"):
         raise ValueError(f"unknown engine {engine!r}")
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    if table.shape != (grid.state_count,):
+        raise ValueError(f"score table of shape {table.shape} for a {grid.state_count}-state grid")
     if not (0 <= start_state < grid.state_count):
         raise ValueError(f"start_state {start_state} outside a {grid.state_count}-state grid")
-    kernel = _walk_block_python if engine == "python" else _walkcore.walk_block
-    table = np.ascontiguousarray(table, dtype=np.float64)
+    kernel = _walk_block_python
+    if engine != "python":
+        compiled, reason = _compiled_kernel()
+        if compiled is not None:
+            kernel, engine = compiled, "compiled"
+        elif engine == "compiled":
+            raise SamplerFailure(f"compiled walk engine unavailable: {reason}")
+        else:
+            engine = "python"
     if math.isnan(table[start_state]):
         if score_fill is None:
             raise SamplerFailure("walk started on an unevaluated cell with no score_fill")

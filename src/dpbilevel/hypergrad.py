@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import AssumptionViolationError, ConfigurationError
-from .inner import evaluate_phi_inexact
-from .problem import AssumptionConstants, BilevelProblem, Dataset, dataset_mean
+from .errors import AssumptionViolationError
+from .problem import BilevelProblem, Dataset, dataset_mean
 
 #: the linear solve must reach this relative residual (contract checked in tests)
 SOLVE_RESIDUAL_TOL = 1e-8
@@ -49,31 +48,3 @@ def approx_hypergradient(
         ) from exc
     residual = float(np.linalg.norm(Hyy @ w - gy))
     return Hypergradient(vector=gx - Hxy @ w, linear_solve_residual=residual)
-
-
-def finite_diff_phi_gradient(
-    p: BilevelProblem,
-    Z: Dataset,
-    x: np.ndarray,
-    h: float,
-    zeta: float,
-    a: AssumptionConstants,
-) -> np.ndarray:
-    """Central finite differences of the inexactly evaluated objective.
-
-    Requires zeta <= h^2 so the evaluation error cannot dominate the
-    quotient (error is O(h^2 + zeta/h)).
-    """
-    if h <= 0:
-        raise ConfigurationError("h must be positive")
-    if not (0 < zeta <= h * h):
-        raise ConfigurationError("need 0 < zeta <= h^2 for a meaningful quotient")
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        up = evaluate_phi_inexact(p, Z, x + e, zeta, a)
-        dn = evaluate_phi_inexact(p, Z, x - e, zeta, a)
-        grad[i] = (up - dn) / (2.0 * h)
-    return grad

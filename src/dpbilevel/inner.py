@@ -105,15 +105,3 @@ def phi_solution_pair(
     else:
         y = np.array(p.y_box.center, dtype=float)
     return float(dataset_mean(p, "f_eval", x, y, Z)), y
-
-
-def evaluate_phi_inexact(
-    p: BilevelProblem,
-    Z: Dataset,
-    x: np.ndarray,
-    zeta: float,
-    a: AssumptionConstants,
-    warm_start: np.ndarray | None = None,
-) -> float:
-    """Value of the implicit objective at x with additive error at most zeta."""
-    return phi_solution_pair(p, Z, x, zeta, a, warm_start)[0]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dpbilevel import audit
 from dpbilevel.audit import (
     AuditReport,
     empirical_sensitivity,
@@ -13,6 +14,7 @@ from dpbilevel.audit import (
     verify_sampler_lemmas,
 )
 from dpbilevel.errors import SizeCapError
+from dpbilevel.gridwalk import chain
 from dpbilevel.gridwalk.grid import EXACT_STATE_CAP, grid_with_cells
 from dpbilevel.problem import Dataset, Domain
 
@@ -193,3 +195,20 @@ def test_lemmas_respect_supplied_lipschitz_constant():
                                  alpha_lip=1.0)[2]
     assert slow.witness["t"] > fast.witness["t"]
     assert slow.passed and fast.passed
+
+
+def test_lemmas_compute_each_conductance_once(monkeypatch):
+    real = chain.conductance_exact
+    calls = []
+
+    def counting(analysis):
+        calls.append(analysis.grid.state_count)
+        return real(analysis)
+
+    monkeypatch.setattr(chain, "conductance_exact", counting)
+    monkeypatch.setattr(audit, "conductance_exact", counting)
+    grid = grid_with_cells(box(2), 4)
+    f = np.linspace(0.0, 1.5, 16)
+    zeta = 0.05 * np.cos(np.arange(16.0))
+    verify_sampler_lemmas(f, zeta, grid, accuracy=0.3)
+    assert calls == [16, 16]  # the ideal chain and the perturbed one

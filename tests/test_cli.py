@@ -273,7 +273,7 @@ def test_main_missing_config_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "audit"])
+@pytest.mark.parametrize("command", ["run", "audit", "constants"])
 def test_main_directory_config_is_config_error(tmp_path, capsys, command):
     assert main([command, str(tmp_path)]) == 1
     assert "config error" in capsys.readouterr().err

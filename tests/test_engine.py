@@ -1,6 +1,9 @@
 """Step-level oracle checks and engine interchangeability for the walk."""
 
 import math
+import shutil
+from fnmatch import fnmatch
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,20 +90,25 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(engine_module, "DEFAULT_BLOCK_SIZE", 512)
 
 
-def run_pair(engine, seed=7, steps=4000, fill_nan=False):
-    grid = grid_with_cells(box(2), 9)
+#: cells per axis of run_pair's grid in each dimension
+CELLS = {1: 81, 2: 9, 3: 5}
+
+
+def run_pair(engine, seed=7, steps=4000, fill_nan=False, d=2):
+    grid = grid_with_cells(box(d), CELLS[d])
+    start = grid.state_count // 2
     rng = np.random.default_rng(123)
-    scores = rng.normal(size=81)
+    scores = rng.normal(size=grid.state_count)
     table = scores.copy()
     score_fill = None
     if fill_nan:
         table[::3] = np.nan
-        table[40] = scores[40]  # keep the start cell evaluated
+        table[start] = scores[start]  # keep the start cell evaluated
 
         def score_fill(idx):
             return float(scores[idx])
 
-    return run_walk(table, grid, steps, np.random.default_rng(seed), 40,
+    return run_walk(table, grid, steps, np.random.default_rng(seed), start,
                     engine=engine, score_fill=score_fill)
 
 
@@ -112,11 +120,56 @@ def test_python_engine_runs(small_blocks):
 
 
 @pytest.mark.skipif(not HAS_COMPILED, reason="compiled engine not built")
-def test_engines_bit_identical(small_blocks):
-    a = run_pair("python")
-    b = run_pair("compiled")
+@pytest.mark.parametrize("fill_nan", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_engines_bit_identical(small_blocks, d, fill_nan):
+    a = run_pair("python", d=d, fill_nan=fill_nan)
+    b = run_pair("compiled", d=d, fill_nan=fill_nan)
     assert a.state == b.state
-    assert a.faults == b.faults == 0
+    assert a.faults == b.faults
+    assert (a.faults > 0) == fill_nan
+
+
+def test_compiled_engine_loads_wherever_cc_exists():
+    # a loader that broke silently would turn the compiled tests into skips
+    assert HAS_COMPILED == (shutil.which("cc") is not None)
+
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    monkeypatch.setattr(engine_module.shutil, "which", lambda name: None)
+    engine_module._compiled_kernel.cache_clear()
+    yield
+    engine_module._compiled_kernel.cache_clear()
+
+
+def test_without_cc_only_python_runs(no_compiler):
+    assert available_engines() == ("python",)
+    grid = grid_with_cells(box(1), 4)
+    with pytest.raises(SamplerFailure, match="no C compiler"):
+        run_walk(np.zeros(4), grid, 10, np.random.default_rng(0), 0,
+                 engine="compiled")
+    assert run_walk(np.zeros(4), grid, 10, np.random.default_rng(0), 0).engine == "python"
+
+
+@ENGINES
+def test_short_table_is_rejected(engine):
+    grid = grid_with_cells(box(2), 4)
+    with pytest.raises(ValueError, match="table"):
+        run_walk(np.zeros(15), grid, 1000, np.random.default_rng(0), 14,
+                 engine=engine)
+
+
+def test_kernel_source_ships_and_cython_is_not_required():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text())
+    patterns = config["tool"]["setuptools"]["package-data"]["dpbilevel.gridwalk"]
+    assert any(fnmatch("_walkcore.c", pattern) for pattern in patterns)
+    kernel = Path(engine_module.__file__).with_name("_walkcore.c")
+    assert kernel.is_file()
+    requires = config["build-system"]["requires"]
+    assert not [r for r in requires if r.lower().startswith("cython")]
 
 
 @pytest.mark.parametrize("engine",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpbilevel.errors import ConfigurationError
-from dpbilevel.hypergrad import approx_hypergradient, finite_diff_phi_gradient
+from dpbilevel.hypergrad import approx_hypergradient
 from dpbilevel.inner import solve_lower_level
 from dpbilevel.instances import (
     make_instance,
@@ -12,6 +12,7 @@ from dpbilevel.instances import (
     sample_hard_dataset,
 )
 from dpbilevel.problem import dataset_mean, probe_assumptions
+from oracles import finite_diff_phi_gradient
 
 CASES = [
     ("hard", {"d": 2}, 12),
