@@ -580,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler in (("run", _cmd_run), ("audit", _cmd_audit)):
         cmd = sub.add_parser(name)
         cmd.add_argument("config")
-        cmd.add_argument("--workers", type=int, default=1)
+        if name == "run":
+            cmd.add_argument("--workers", type=int, default=1)
         cmd.add_argument("--out", default=None)
         cmd.add_argument("--seed", type=int, default=None)
         cmd.set_defaults(handler=handler)

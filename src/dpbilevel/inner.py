@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError
-from .problem import AssumptionConstants, BilevelProblem, Dataset, dataset_mean
+from .problem import AssumptionConstants, BilevelProblem, Dataset
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,6 @@ class InnerSolveResult:
     y: np.ndarray
     certified_error: float
     iterations: int
-    grad_norm: float
 
 
 def default_max_iters(a: AssumptionConstants, y_box, alpha: float) -> int:
@@ -52,7 +51,6 @@ def solve_lower_level(
     alpha: float,
     a: AssumptionConstants,
     warm_start: np.ndarray | None = None,
-    max_iters: int | None = None,
 ) -> InnerSolveResult:
     """Run GD on the averaged lower-level objective until ||y - y*|| <= alpha.
 
@@ -61,18 +59,15 @@ def solve_lower_level(
     """
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
-    if max_iters is None:
-        max_iters = default_max_iters(a, p.y_box, alpha)
+    max_iters = default_max_iters(a, p.y_box, alpha)
     step = 1.0 / a.beta_gyy
     y = np.array(p.y_box.center if warm_start is None else warm_start, dtype=float)
     iterations = 0
     while True:
-        g = dataset_mean(p, "grad_g_y", x, y, Z)
-        grad_norm = float(np.linalg.norm(g))
-        certified = grad_norm / a.mu_g
+        g = np.asarray(p.grad_g_y(x, y, Z), dtype=float)
+        certified = float(np.linalg.norm(g)) / a.mu_g
         if certified <= alpha:
-            return InnerSolveResult(y=y, certified_error=certified,
-                                    iterations=iterations, grad_norm=grad_norm)
+            return InnerSolveResult(y=y, certified_error=certified, iterations=iterations)
         if iterations >= max_iters:
             raise NonConvergenceError(
                 f"lower-level solve: certificate {certified:.3e} > alpha {alpha:.3e} "
@@ -104,4 +99,4 @@ def phi_solution_pair(
         y = res.y
     else:
         y = np.array(p.y_box.center, dtype=float)
-    return float(dataset_mean(p, "f_eval", x, y, Z)), y
+    return float(p.f(x, y, Z)), y

@@ -97,40 +97,15 @@ def make_hard_instance(
     y_box = Domain("box", np.zeros(d), half_widths=np.full(d, D_y / 2.0))
     eye = np.eye(d)
 
-    def f_eval(x, y, z):
-        return -L_fy * float(np.dot(y, z))
-
-    def grad_f_x(x, y, z):
-        return np.zeros(d)
-
-    def grad_f_y(x, y, z):
-        return -L_fy * np.asarray(z, dtype=float)
-
-    def g_eval(x, y, z):
-        r = y - zeta * x
-        return 0.5 * mu_g * float(np.dot(r, r))
-
-    def grad_g_y(x, y, z):
-        return mu_g * (y - zeta * x)
-
-    def hess_g_xy(x, y, z):
-        return -mu_g * zeta * eye
-
-    def hess_g_yy(x, y, z):
-        return mu_g * eye
-
     problem = BilevelProblem(
         d_x=d, d_y=d,
-        f_eval=f_eval, grad_f_x=grad_f_x, grad_f_y=grad_f_y,
-        g_eval=g_eval, grad_g_y=grad_g_y,
-        hess_g_xy=hess_g_xy, hess_g_yy=hess_g_yy,
+        f=lambda x, y, Z: -L_fy * float(np.dot(y, _zbar(Z))),
+        grad_f_x=lambda x, y, Z: np.zeros(d),
+        grad_f_y=lambda x, y, Z: -L_fy * _zbar(Z),
+        grad_g_y=lambda x, y, Z: mu_g * (y - zeta * x),
+        hess_g_xy=lambda x, y, Z: -mu_g * zeta * eye,
+        hess_g_yy=lambda x, y, Z: mu_g * eye,
         domain_x=domain_x, y_box=y_box,
-        mean_f=lambda x, y, Z: -L_fy * float(np.dot(y, _zbar(Z))),
-        mean_grad_f_x=lambda x, y, Z: np.zeros(d),
-        mean_grad_f_y=lambda x, y, Z: -L_fy * _zbar(Z),
-        mean_grad_g_y=lambda x, y, Z: mu_g * (y - zeta * x),
-        mean_hess_g_xy=lambda x, y, Z: -mu_g * zeta * eye,
-        mean_hess_g_yy=lambda x, y, Z: mu_g * eye,
     )
 
     # L_gy must cover y ranging over the corners of y_box, not just the
@@ -193,37 +168,6 @@ def make_quadratic_instance(d_x: int = 2, d_y: int = 2, seed: int = 0) -> Instan
     y_box = Domain("box", np.zeros(d_y), half_widths=np.full(d_y, y_half))
     eye_y = np.eye(d_y)
 
-    def split(z):
-        z = np.asarray(z, dtype=float)
-        return z[:d_x], z[d_x:d_x + d_y], z[d_x + d_y:]
-
-    def f_eval(x, y, z):
-        a, b, _ = split(z)
-        return 0.5 * float(np.dot(x - a, x - a)) + float(np.dot(b, y))
-
-    def grad_f_x(x, y, z):
-        a, _, _ = split(z)
-        return x - a
-
-    def grad_f_y(x, y, z):
-        _, b, _ = split(z)
-        return b.copy()
-
-    def g_eval(x, y, z):
-        _, _, c = split(z)
-        r = y - M @ x - c
-        return 0.5 * float(np.dot(r, r))
-
-    def grad_g_y(x, y, z):
-        _, _, c = split(z)
-        return y - M @ x - c
-
-    def hess_g_xy(x, y, z):
-        return -M.T
-
-    def hess_g_yy(x, y, z):
-        return eye_y
-
     def means(Z: Dataset):
         def build(pts):
             return {
@@ -236,17 +180,14 @@ def make_quadratic_instance(d_x: int = 2, d_y: int = 2, seed: int = 0) -> Instan
 
     problem = BilevelProblem(
         d_x=d_x, d_y=d_y,
-        f_eval=f_eval, grad_f_x=grad_f_x, grad_f_y=grad_f_y,
-        g_eval=g_eval, grad_g_y=grad_g_y,
-        hess_g_xy=hess_g_xy, hess_g_yy=hess_g_yy,
+        f=lambda x, y, Z: 0.5 * (float(np.dot(x, x)) - 2 * float(np.dot(x, means(Z)["a"]))
+                                 + means(Z)["a_sq"]) + float(np.dot(means(Z)["b"], y)),
+        grad_f_x=lambda x, y, Z: x - means(Z)["a"],
+        grad_f_y=lambda x, y, Z: means(Z)["b"].copy(),
+        grad_g_y=lambda x, y, Z: y - M @ x - means(Z)["c"],
+        hess_g_xy=lambda x, y, Z: -M.T,
+        hess_g_yy=lambda x, y, Z: eye_y,
         domain_x=domain_x, y_box=y_box,
-        mean_f=lambda x, y, Z: 0.5 * (float(np.dot(x, x)) - 2 * float(np.dot(x, means(Z)["a"]))
-                                      + means(Z)["a_sq"]) + float(np.dot(means(Z)["b"], y)),
-        mean_grad_f_x=lambda x, y, Z: x - means(Z)["a"],
-        mean_grad_f_y=lambda x, y, Z: means(Z)["b"].copy(),
-        mean_grad_g_y=lambda x, y, Z: y - M @ x - means(Z)["c"],
-        mean_hess_g_xy=lambda x, y, Z: -M.T,
-        mean_hess_g_yy=lambda x, y, Z: eye_y,
     )
 
     constants = AssumptionConstants(
@@ -341,38 +282,6 @@ def make_ridge_hyperparam_instance(
     def sig(x):
         return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
-    def split(z):
-        z = np.asarray(z, dtype=float)
-        return z[:k], float(z[k]), z[k + 1:2 * k + 1], float(z[2 * k + 1])
-
-    def f_eval(x, y, z):
-        _, _, uv, vv = split(z)
-        r = float(np.dot(uv, y)) - vv
-        return 0.5 * r * r
-
-    def grad_f_x(x, y, z):
-        return np.zeros(k)
-
-    def grad_f_y(x, y, z):
-        _, _, uv, vv = split(z)
-        return uv * (float(np.dot(uv, y)) - vv)
-
-    def g_eval(x, y, z):
-        ut, vt, _, _ = split(z)
-        r = float(np.dot(ut, y)) - vt
-        return 0.5 * r * r + 0.5 * float(np.dot(weights(x), y * y))
-
-    def grad_g_y(x, y, z):
-        ut, vt, _, _ = split(z)
-        return ut * (float(np.dot(ut, y)) - vt) + weights(x) * y
-
-    def hess_g_xy(x, y, z):
-        return np.diag(sig(x) * y)
-
-    def hess_g_yy(x, y, z):
-        ut, _, _, _ = split(z)
-        return np.outer(ut, ut) + np.diag(weights(x))
-
     def stats(Z: Dataset):
         def build(pts):
             ut, vt = pts[:, :k], pts[:, k]
@@ -388,18 +297,15 @@ def make_ridge_hyperparam_instance(
 
     problem = BilevelProblem(
         d_x=k, d_y=k,
-        f_eval=f_eval, grad_f_x=grad_f_x, grad_f_y=grad_f_y,
-        g_eval=g_eval, grad_g_y=grad_g_y,
-        hess_g_xy=hess_g_xy, hess_g_yy=hess_g_yy,
+        f=lambda x, y, Z: 0.5 * (float(y @ stats(Z)["Uv"] @ y)
+                                 - 2 * float(np.dot(stats(Z)["mv"], y))
+                                 + stats(Z)["vv_sq"]),
+        grad_f_x=lambda x, y, Z: np.zeros(k),
+        grad_f_y=lambda x, y, Z: stats(Z)["Uv"] @ y - stats(Z)["mv"],
+        grad_g_y=lambda x, y, Z: stats(Z)["Ut"] @ y - stats(Z)["mt"] + weights(x) * y,
+        hess_g_xy=lambda x, y, Z: np.diag(sig(x) * y),
+        hess_g_yy=lambda x, y, Z: stats(Z)["Ut"] + np.diag(weights(x)),
         domain_x=domain_x, y_box=y_box,
-        mean_f=lambda x, y, Z: 0.5 * (float(y @ stats(Z)["Uv"] @ y)
-                                      - 2 * float(np.dot(stats(Z)["mv"], y))
-                                      + stats(Z)["vv_sq"]),
-        mean_grad_f_x=lambda x, y, Z: np.zeros(k),
-        mean_grad_f_y=lambda x, y, Z: stats(Z)["Uv"] @ y - stats(Z)["mv"],
-        mean_grad_g_y=lambda x, y, Z: stats(Z)["Ut"] @ y - stats(Z)["mt"] + weights(x) * y,
-        mean_hess_g_xy=lambda x, y, Z: np.diag(sig(x) * y),
-        mean_hess_g_yy=lambda x, y, Z: stats(Z)["Ut"] + np.diag(weights(x)),
     )
 
     L_fy = u_max * (u_max * y_norm_max + v_max)

@@ -9,7 +9,6 @@ constant would itself leak information about the dataset.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional
@@ -185,63 +184,25 @@ class Domain:
 class BilevelProblem:
     """Callbacks defining one bilevel ERM problem.
 
-    Per-record callbacks are the primary contract.  The optional ``mean_*``
-    callbacks return record-averaged quantities directly and exist purely as
-    vectorized fast paths; when absent the library averages the per-record
-    callbacks in a loop.
+    Each callback is ``(x, y, Z) -> record average`` over the dataset ``Z``:
+    ``f`` is the upper-level loss, ``grad_f_x``/``grad_f_y`` its gradients,
+    and ``grad_g_y``, ``hess_g_xy``, ``hess_g_yy`` the gradient and Hessian
+    blocks of the lower-level loss g.  A per-record value is the same
+    callback on a one-record dataset, which is how
+    :func:`probe_assumptions` checks the declared per-record constants
+    against the code the mechanisms run.
     """
 
     d_x: int
     d_y: int
-    f_eval: Callable[[Vector, Vector, Vector], float]
-    grad_f_x: Callable[[Vector, Vector, Vector], Vector]
-    grad_f_y: Callable[[Vector, Vector, Vector], Vector]
-    g_eval: Callable[[Vector, Vector, Vector], float]
-    grad_g_y: Callable[[Vector, Vector, Vector], Vector]
-    hess_g_xy: Callable[[Vector, Vector, Vector], Matrix]
-    hess_g_yy: Callable[[Vector, Vector, Vector], Matrix]
+    f: Callable[[Vector, Vector, Dataset], float]
+    grad_f_x: Callable[[Vector, Vector, Dataset], Vector]
+    grad_f_y: Callable[[Vector, Vector, Dataset], Vector]
+    grad_g_y: Callable[[Vector, Vector, Dataset], Vector]
+    hess_g_xy: Callable[[Vector, Vector, Dataset], Matrix]
+    hess_g_yy: Callable[[Vector, Vector, Dataset], Matrix]
     domain_x: Domain
     y_box: Domain
-    mean_f: Optional[Callable[[Vector, Vector, Dataset], float]] = None
-    mean_grad_f_x: Optional[Callable[[Vector, Vector, Dataset], Vector]] = None
-    mean_grad_f_y: Optional[Callable[[Vector, Vector, Dataset], Vector]] = None
-    mean_grad_g_y: Optional[Callable[[Vector, Vector, Dataset], Vector]] = None
-    mean_hess_g_xy: Optional[Callable[[Vector, Vector, Dataset], Matrix]] = None
-    mean_hess_g_yy: Optional[Callable[[Vector, Vector, Dataset], Matrix]] = None
-
-
-def _mean_over_records(per_record, x, y, Z: Dataset):
-    acc = None
-    for i in range(Z.n):
-        v = np.asarray(per_record(x, y, Z.record(i)), dtype=float)
-        acc = v if acc is None else acc + v
-    return acc / Z.n
-
-
-def dataset_mean(p: BilevelProblem, name: str, x: Vector, y: Vector, Z: Dataset):
-    """Record-average of one callback family, via the fast path if provided.
-
-    ``name`` is one of f_eval/grad_f_x/grad_f_y/grad_g_y/hess_g_xy/hess_g_yy.
-    """
-    fast = {
-        "f_eval": p.mean_f,
-        "grad_f_x": p.mean_grad_f_x,
-        "grad_f_y": p.mean_grad_f_y,
-        "grad_g_y": p.mean_grad_g_y,
-        "hess_g_xy": p.mean_hess_g_xy,
-        "hess_g_yy": p.mean_hess_g_yy,
-    }[name]
-    if fast is not None:
-        return np.asarray(fast(x, y, Z), dtype=float)
-    return _mean_over_records(getattr(p, name), x, y, Z)
-
-
-_CONSTANT_FIELDS = (
-    "L_fx", "L_fy", "mu_g", "L_gy",
-    "beta_fyy", "beta_fxx", "beta_fxy", "beta_gxy", "beta_gyy",
-    "M_gxy", "M_gyy", "C_gxy", "C_gyy",
-    "D_x", "D_y",
-)
 
 
 @dataclass(frozen=True)
@@ -284,20 +245,6 @@ class AssumptionConstants:
                 f"({self.D_y} > {self.L_gy / self.mu_g})"
             )
 
-    def to_json(self) -> str:
-        return json.dumps({f: getattr(self, f) for f in _CONSTANT_FIELDS})
-
-    @classmethod
-    def from_json(cls, text: str) -> "AssumptionConstants":
-        data = json.loads(text)
-        unknown = set(data) - set(_CONSTANT_FIELDS)
-        if unknown:
-            raise ConfigurationError(f"unknown constant keys: {sorted(unknown)}")
-        missing = set(_CONSTANT_FIELDS) - set(data)
-        if missing:
-            raise ConfigurationError(f"missing constant keys: {sorted(missing)}")
-        return cls(**{k: float(v) for k, v in data.items()})
-
 
 @dataclass(frozen=True)
 class DerivedConstants:
@@ -317,9 +264,6 @@ class DerivedConstants:
     beta_phi: float
     L_bar: float
     Psi: float
-
-    def to_json(self) -> str:
-        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def derive_constants(a: AssumptionConstants, n: int) -> DerivedConstants:
@@ -392,9 +336,12 @@ def probe_assumptions(
 ) -> ProbeReport:
     """Sample (x, x', y, y', z) in the declared domains and test each bound.
 
-    Gradient-norm bounds are checked directly; smoothness and Hessian-Lipschitz
-    bounds via difference quotients between paired points; strong convexity via
-    the minimum eigenvalue of the record-averaged hess_g_yy.
+    Per-record bounds are checked on the problem's own callbacks evaluated on
+    a one-record dataset holding z, so they probe the code the mechanisms
+    run.  Gradient-norm bounds are checked directly; smoothness and
+    Hessian-Lipschitz bounds via difference quotients between paired points;
+    strong convexity via the minimum eigenvalue of hess_g_yy averaged over
+    the whole dataset.
     """
     rng = make_generator(rng_seed)
     report = ProbeReport(trials=trials)
@@ -403,9 +350,10 @@ def probe_assumptions(
         x2 = p.domain_x.sample_uniform(rng)
         y = p.y_box.sample_uniform(rng)
         y2 = p.y_box.sample_uniform(rng)
-        z = dataset.record(int(rng.integers(dataset.n)))
+        i = int(rng.integers(dataset.n))
+        z = Dataset(dataset.points[i:i + 1])
         witness = {"x": x.tolist(), "x2": x2.tolist(), "y": y.tolist(), "y2": y2.tolist(),
-                   "z": np.asarray(z).tolist()}
+                   "z": dataset.record(i).tolist()}
 
         gfx, gfy = p.grad_f_x(x, y, z), p.grad_f_y(x, y, z)
         ggy = p.grad_g_y(x, y, z)
@@ -419,7 +367,7 @@ def probe_assumptions(
         asym = float(np.max(np.abs(Hyy - Hyy.T))) / (1.0 + float(np.max(np.abs(Hyy))))
         report._record("hess_g_yy_symmetry", asym, 1e-8, witness)
 
-        Hyy_avg = dataset_mean(p, "hess_g_yy", x, y, dataset)
+        Hyy_avg = np.asarray(p.hess_g_yy(x, y, dataset), dtype=float)
         lam_min = float(np.linalg.eigvalsh(0.5 * (Hyy_avg + Hyy_avg.T))[0])
         # strong convexity: mu_g - lam_min must not exceed the slack
         report._record("mu_g", max(0.0, a.mu_g - lam_min), 0.0, witness)

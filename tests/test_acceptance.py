@@ -41,7 +41,7 @@ from dpbilevel.mechanisms import (
     replay_mechanism,
     warm_start,
 )
-from dpbilevel.problem import Domain, dataset_mean, derive_constants
+from dpbilevel.problem import Domain, derive_constants
 from dpbilevel.rng import derive_seed, make_generator
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_06_hypergradient_matches_finite_differences():
 
         def phi_solved(x, Z_=Z, fx=fx):
             y = solve_lower_level(fx.problem, Z_, x, 1e-10, fx.constants).y
-            return dataset_mean(fx.problem, "f_eval", x, y, Z_)
+            return fx.problem.f(x, y, Z_)
 
         rng = make_generator(606)
         for _ in range(20):

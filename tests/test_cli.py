@@ -12,6 +12,7 @@ from dpbilevel.cli import (
     ExperimentConfig,
     _cells,
     _flatten_ledger,
+    build_parser,
     main,
     run_audits,
     run_experiment,
@@ -277,6 +278,16 @@ def test_main_missing_config_is_config_error(tmp_path, capsys):
 def test_main_directory_config_is_config_error(tmp_path, capsys, command):
     assert main([command, str(tmp_path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_workers_is_a_run_option_only(tmp_path, capsys):
+    path = write_config(tmp_path, config_dict(tmp_path / "out"))
+    assert build_parser().parse_args(["run", path, "--workers", "2"]).workers == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", path, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_bad_json_is_config_error(tmp_path, capsys):

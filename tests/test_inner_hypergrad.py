@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dpbilevel import inner
 from dpbilevel.errors import ConfigurationError, NonConvergenceError
 from dpbilevel.hypergrad import approx_hypergradient
 from dpbilevel.inner import phi_solution_pair, solve_lower_level
@@ -56,11 +57,12 @@ def test_warm_start_skips_iterations(quad):
     np.testing.assert_array_equal(warm.y, cold.y)
 
 
-def test_budget_exhaustion_raises(quad):
+def test_budget_exhaustion_raises(quad, monkeypatch):
     fx, Z = quad
+    monkeypatch.setattr(inner, "default_max_iters", lambda a, y_box, alpha: 0)
     with pytest.raises(NonConvergenceError):
         solve_lower_level(fx.problem, Z, np.array([0.9, 0.1]), 1e-12,
-                          fx.constants, max_iters=0)
+                          fx.constants)
 
 
 def test_alpha_must_be_positive(quad):
@@ -83,8 +85,7 @@ def test_phi_solution_pair_returns_consistent_pair(ridge):
     x = np.array([0.5, -1.0])
     value, y = phi_solution_pair(fx.problem, Z, x, 1e-6, fx.constants)
     # the returned value is f evaluated at the returned (tight) solution
-    from dpbilevel.problem import dataset_mean
-    assert value == pytest.approx(dataset_mean(fx.problem, "f_eval", x, y, Z))
+    assert value == pytest.approx(fx.problem.f(x, y, Z))
 
 
 # ---------------------------------------------------------------------------

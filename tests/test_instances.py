@@ -1,5 +1,7 @@
 """Ground-truth consistency of the closed-form test instances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from dpbilevel.instances import (
     make_packed_hard_dataset,
     sample_hard_dataset,
 )
-from dpbilevel.problem import dataset_mean, probe_assumptions
+from dpbilevel.problem import probe_assumptions
 from oracles import finite_diff_phi_gradient
 
 CASES = [
@@ -44,7 +46,7 @@ def test_y_star_agrees_with_a_tight_solve(case):
 def test_phi_is_the_value_at_y_star(case):
     fx, Z = case
     for x in probe_points(fx, Z):
-        direct = dataset_mean(fx.problem, "f_eval", x, fx.y_star(x, Z), Z)
+        direct = fx.problem.f(x, fx.y_star(x, Z), Z)
         assert fx.phi(x, Z) == pytest.approx(float(direct), rel=1e-10)
 
 
@@ -87,6 +89,26 @@ def test_declared_constants_survive_probing(case):
     fx, Z = case
     report = probe_assumptions(fx.problem, fx.constants, Z, trials=60)
     assert report.ok, report.violations
+
+
+def violated(report):
+    return {v["name"] for v in report.violations}
+
+
+def test_probe_flags_understated_curvature(case):
+    fx, Z = case
+    halved = dataclasses.replace(fx.constants, beta_gyy=fx.constants.beta_gyy / 2)
+    assert "beta_gyy" in violated(probe_assumptions(fx.problem, halved, Z, trials=60))
+
+
+def test_probe_checks_the_callbacks_mechanisms_run():
+    # doubling the callback the solver and hypergradient call must be caught
+    fx = make_instance("hard", d=2)
+    Z = fx.sample_dataset(12, seed=5)
+    grad_f_y = fx.problem.grad_f_y
+    doubled = dataclasses.replace(fx.problem,
+                                  grad_f_y=lambda x, y, Z_: 2 * grad_f_y(x, y, Z_))
+    assert "L_fy" in violated(probe_assumptions(doubled, fx.constants, Z, trials=60))
 
 
 def test_datasets_are_deterministic_per_seed(case):
