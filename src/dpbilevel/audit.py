@@ -13,12 +13,14 @@ Three families of checks, each a pure function returning an AuditReport:
 * verify_sampler_lemmas — the three finite-chain facts the sampler's
   correctness rests on (conductance degradation, stationary distance, and
   the mixing-time budget), verified by exact matrix computation on small
-  grids.
+  grids.  The mixing distance is exact unless a certified spectral upper
+  bound already puts it at or below 1e-12 (see gridwalk.chain).
 
 The sensitivity audits are lower bounds on the true sup (they enumerate a
 finite swap set); the DP and chain audits are exact on their discretized
-inputs.  Negative controls — deliberately broken constants — are expected
-to fail, and the test suite asserts that direction too.
+inputs, up to that certified bound.  Negative controls — deliberately
+broken constants — are expected to fail, and the test suite asserts that
+direction too.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from .errors import SizeCapError
 from .gridwalk.chain import (
     CONDUCTANCE_STATE_CAP,
+    certified_mixing_steps,
     conductance_exact,  # noqa: F401 - a perfbench/spans.py trace target
     dist_inf,
     exact_chain,
@@ -189,13 +192,16 @@ def verify_sampler_lemmas(
 
     Builds the ideal chain from f_values and the perturbed chain from
     f_values + zeta_values (pointwise evaluation errors, |zeta| <= zeta_max)
-    and checks, all by dense linear algebra:
+    and checks, all by matrix computation on the exact chains:
 
     1. conductance degradation — phi' >= e^{-6 zeta_max} * phi, reported as
        the ratio (e^{-6 zeta} phi) / phi' against bound 1;
     2. stationary distance — Dist_inf(pi', pi) <= 2 zeta_max;
     3. mixing budget — every row of P'^t is within `accuracy` of pi' in the
-       log-ratio metric at t = mixing_time_bound(...).
+       log-ratio metric at t = mixing_time_bound(...).  The witness also
+       holds t_cert, the smallest t the spectral certificate accepts at
+       that accuracy (None if it accepts none), which shows the budget's
+       slack.
 
     alpha_lip defaults to the empirical grid Lipschitz constant of the
     perturbed scores (max neighbor difference over cell width).
@@ -234,18 +240,19 @@ def verify_sampler_lemmas(
     )
 
     if alpha_lip is None:
-        alpha_lip = 0.0
-        for x in range(grid.state_count):
-            for y in grid.neighbors(x):
-                alpha_lip = max(alpha_lip, abs(f_pert[x] - f_pert[y]))
-        alpha_lip /= grid.gamma
+        F = f_pert.reshape((grid.cells_per_axis,) * grid.d)
+        alpha_lip = max(float(np.abs(np.diff(F, axis=k)).max(initial=0.0))
+                        for k in range(grid.d)) / grid.gamma
     t = mixing_time_bound(alpha_lip, grid.tau, grid.d, accuracy, zeta_max)
     mixing = linf_mixing_distance(
         perturbed.transition, perturbed.stationary, t
     )
+    t_cert = certified_mixing_steps(
+        perturbed.transition, perturbed.stationary, accuracy)
     mixing_report = _report(
         "mixing_time", mixing, accuracy,
-        {"t": int(t), "alpha_lip": float(alpha_lip), "accuracy": accuracy},
+        {"t": int(t), "t_cert": t_cert, "alpha_lip": float(alpha_lip),
+         "accuracy": accuracy},
         grid.state_count,
     )
     return [conductance_report, distance_report, mixing_report]

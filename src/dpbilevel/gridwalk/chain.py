@@ -9,9 +9,19 @@ Gibbs law proportional to exp(-f') by detailed balance.
 
 These routines build the dense transition matrix, its stationary law,
 exact conductance by subset enumeration, the spectral gap on request,
-exact L-infinity mixing distances via matrix powers, and the closed-form
-mixing-time budget used by the sampler.  Everything here is for
-audit-scale chains; the actual sampler never materializes a matrix.
+L-infinity mixing distances, and the closed-form mixing-time budget used by
+the sampler.  Everything here is for audit-scale chains; the actual sampler
+never materializes a matrix.
+
+Mixing distances come from one of two paths.  The certified path bounds the
+distance by lambda*^t / pi_min (Levin, Peres & Wilmer, *Markov Chains and
+Mixing Times*, ch. 12), with lambda* from one banded eigensolve of the
+pi-symmetrized kernel; it answers only when that bound is at most
+CERTIFIED_FLOOR, below the exact path's own rounding.  The bound holds for
+the reversible chain the scores define, i.e. for P in detailed balance with
+pi up to rounding; any other input is declined.  Otherwise the exact path
+takes P^t by matrix powers or one dense eigendecomposition, and stays the
+oracle the certified path is tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.csgraph
 
 from ..errors import SizeCapError
@@ -30,6 +41,13 @@ from .grid import EXACT_STATE_CAP, GridSpec
 K_MIX = 64
 #: states above which exhaustive conductance enumeration is refused
 CONDUCTANCE_STATE_CAP = 18
+#: largest mixing distance the certified path returns; the exact path's
+#: rounding floor lies around 1e-14 to 1e-11
+CERTIFIED_FLOOR = 1e-12
+#: backward-error allowance, in units of n * machine epsilon, added to the
+#: LAPACK estimate of lambda_2; it covers rounding in P, pi and the banded
+#: eigensolve, which turns that estimate into a certificate
+MARGIN_FACTOR = 8
 
 
 def transition_matrix(f_values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -81,21 +99,91 @@ class ChainAnalysis:
     def cheeger_interval(self) -> tuple[float, float]:
         """(gap/2, sqrt(2*gap)) bracket for the conductance.
 
-        The spectral gap takes one dense eigensolve, run on each call.
+        The spectral gap, 1 - lambda_2 on the stationary law's support, takes
+        one banded eigensolve, run on each call.
         """
-        gap = _spectral_gap(self.transition, self.stationary)
+        P, pi = self.transition, self.stationary
+        support = pi > 0
+        if not np.all(support):
+            P, pi = P[np.ix_(support, support)], pi[support]
+        gap = 1.0 - _symmetrized_lambda2(P, pi)[0] if len(pi) > 1 else 1.0
         return gap / 2.0, math.sqrt(2.0 * gap)
 
 
-def _spectral_gap(P: np.ndarray, pi: np.ndarray) -> float:
-    """1 - lambda_2 of the reversible chain, via its symmetrization."""
-    support = pi > 0
-    Ps = P[np.ix_(support, support)]
-    pis = pi[support]
-    root = np.sqrt(pis)
-    S = (root[:, None] / root[None, :]) * Ps
-    eigs = np.linalg.eigvalsh(0.5 * (S + S.T))
-    return float(1.0 - eigs[-2]) if len(eigs) > 1 else 1.0
+def _symmetrized_lambda2(P: np.ndarray, pi: np.ndarray) -> tuple[float, float]:
+    """(lambda_2, skew) of S = D^{1/2} P D^{-1/2}, D = diag(pi), pi > 0.
+
+    lambda_2 is the second-largest eigenvalue of (S + S^T)/2, from LAPACK's
+    banded solver.  Its bands are read off P's diagonals out to P's
+    bandwidth: 1 on a 1-d grid, the cells per axis on a 2-d one.  skew is
+    max |S - S^T|, which is rounding-sized exactly when P is reversible with
+    respect to pi.
+    """
+    n = len(pi)
+    rows, cols = np.nonzero(P)
+    width = int(np.max(np.abs(rows - cols), initial=0))
+    root = np.sqrt(pi)
+    bands = np.zeros((width + 1, n))
+    skew = 0.0
+    for k in range(width + 1):
+        ratio = root[k:] / root[:n - k]
+        below = ratio * np.diagonal(P, -k)  # S[j+k, j]
+        above = np.diagonal(P, k) / ratio  # S[j, j+k]
+        bands[k, :n - k] = 0.5 * (below + above)
+        skew = max(skew, float(np.max(np.abs(below - above))))
+    lam2 = scipy.linalg.eig_banded(bands, lower=True, eigvals_only=True,
+                                   select="i", select_range=(n - 2, n - 2))
+    return float(lam2[0]), skew
+
+
+def _lambda_star(P: np.ndarray, pi: np.ndarray) -> float:
+    """Certified bound on |lambda| over P's non-unit eigenvalues, else inf.
+
+    max(lambda_2, 1 - 2 min diag(P)) bounds them all: Gershgorin puts every
+    eigenvalue at or above 2 min diag(P) - 1, so the second term covers the
+    negative end (it is <= 0 for a lazy chain).  The MARGIN_FACTOR * n * eps
+    inflation covers the estimate's backward error.  Chains with a state of
+    zero stationary mass, or not reversible with respect to pi, get inf.
+    """
+    n = len(pi)
+    if n < 2 or not np.all(pi > 0):
+        return math.inf
+    lam2, skew = _symmetrized_lambda2(P, pi)
+    margin = MARGIN_FACTOR * n * np.finfo(float).eps
+    if skew > margin:
+        return math.inf
+    return max(lam2, 1.0 - 2.0 * float(np.min(np.diagonal(P)))) + margin
+
+
+def _certified_distance(P: np.ndarray, pi: np.ndarray, t: int) -> float:
+    """-log(1 - lambda*^t / pi_min), an upper bound on the L-inf distance.
+
+    Every |P^t(x,y)/pi(y) - 1| is at most lambda*^t / pi_min for a
+    reversible chain; inf when that ratio reaches 1 or lambda* does.
+    """
+    lam = _lambda_star(P, pi)
+    if not 0.0 < lam < 1.0:
+        return math.inf
+    log_ratio = t * math.log(lam) - math.log(float(np.min(pi)))
+    if log_ratio >= 0.0:
+        return math.inf
+    return -math.log1p(-math.exp(log_ratio))
+
+
+def certified_mixing_steps(
+    P: np.ndarray, pi: np.ndarray, accuracy: float
+) -> Optional[int]:
+    """Smallest t whose certified bound puts every row within accuracy of pi.
+
+    Closed form from lambda*^t / pi_min <= 1 - e^{-accuracy}:
+    t = ceil(log(pi_min * (1 - e^{-accuracy})) / log(lambda*)).  None when
+    no certificate applies.
+    """
+    lam = _lambda_star(P, pi)
+    if not 0.0 < lam < 1.0:
+        return None
+    target = math.log(-math.expm1(-accuracy)) + math.log(float(np.min(pi)))
+    return max(1, math.ceil(target / math.log(lam)))
 
 
 def exact_chain(f_values: np.ndarray, grid: GridSpec) -> ChainAnalysis:
@@ -176,14 +264,27 @@ def linf_mixing_distance(
 ) -> float:
     """max over start states of dist_inf(row of P^t, pi).
 
-    Small chains take P^t by binary powering with rows renormalized after
-    every multiply to keep floating-point drift out of the log-ratio metric.
-    Above spectral_threshold states, the power is taken through the
+    The certified bound -log(1 - lambda*^t / pi_min) is tried first and
+    returned when it is at most CERTIFIED_FLOOR: an upper bound on the
+    distance of the reversible chain P and pi describe, within the exact
+    path's rounding floor.  Otherwise the result is exact.  Small chains
+    take P^t by binary powering with rows renormalized after every multiply
+    to keep floating-point drift out of the log-ratio metric.  Above
+    spectral_threshold states, the power is taken through the
     eigendecomposition of the pi-symmetrized kernel instead — the chain is
-    reversible, so this is exact up to one dense solve — because the mixing
-    budget t is typically so large that repeated squaring costs dozens of
-    dense multiplies.
+    reversible, so this is exact up to one dense solve — because repeated
+    squaring at a large t costs dozens of dense multiplies.
     """
+    bound = _certified_distance(P, pi, t)
+    if bound <= CERTIFIED_FLOOR:
+        return bound
+    return _exact_distance(P, pi, t, spectral_threshold)
+
+
+def _exact_distance(
+    P: np.ndarray, pi: np.ndarray, t: int, spectral_threshold: int
+) -> float:
+    """linf_mixing_distance without the certified path."""
     n = P.shape[0]
     if n > spectral_threshold and np.all(pi > 0):
         root = np.sqrt(pi)

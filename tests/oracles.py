@@ -25,3 +25,15 @@ def finite_diff_phi_gradient(p, Z, x, h, zeta, a) -> np.ndarray:
         dn = phi_solution_pair(p, Z, x - e, zeta, a)[0]
         grad[i] = (up - dn) / (2.0 * h)
     return grad
+
+
+def grid_lipschitz(scores, grid) -> float:
+    """Empirical sup-norm Lipschitz constant of a score table on its grid.
+
+    The neighbor-by-neighbor loop the vectorized audit code must match.
+    """
+    worst = 0.0
+    for i in range(grid.state_count):
+        for j in grid.neighbors(i):
+            worst = max(worst, abs(scores[i] - scores[j]))
+    return worst / grid.gamma

@@ -43,6 +43,7 @@ from dpbilevel.mechanisms import (
 )
 from dpbilevel.problem import Domain, derive_constants
 from dpbilevel.rng import derive_seed, make_generator
+from oracles import grid_lipschitz
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -67,15 +68,6 @@ def _box(d, half):
 def _random_feasible_x(fixture, rng):
     dom = fixture.problem.domain_x
     return dom.project(dom.center + 0.4 * rng.standard_normal(dom.dim))
-
-
-def _grid_lipschitz(scores, grid):
-    """Empirical sup-norm Lipschitz constant of a score table on its grid."""
-    worst = 0.0
-    for i in range(grid.state_count):
-        for j in grid.neighbors(i):
-            worst = max(worst, abs(scores[i] - scores[j]))
-    return worst / grid.gamma
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +230,12 @@ def test_05_mixing_budget_validity(chain_corpus):
     sup log-ratio distance to the stationary law after the budgeted number
     of steps must be within the accuracy.  Then the same check runs on three
     large smooth-score chains, up to the exact-analysis cap of 4096 states,
-    where powers are taken spectrally.
+    where the certified spectral bound answers.
     """
     t0 = time.monotonic()
     for case in chain_corpus:
         perturbed = case["perturbed"]
-        alpha = _grid_lipschitz(perturbed.f_values, case["grid"])
+        alpha = grid_lipschitz(perturbed.f_values, case["grid"])
         for accuracy in (0.1, 0.01):
             steps = mixing_time_bound(
                 alpha, case["grid"].tau, case["grid"].d, accuracy,
@@ -261,7 +253,7 @@ def test_05_mixing_budget_validity(chain_corpus):
         u = rng.uniform(-1.0, 1.0, grid.state_count)
         zeta = 0.05 * u / np.max(np.abs(u))
         chain = exact_chain(scores + zeta, grid)
-        alpha = _grid_lipschitz(scores + zeta, grid)
+        alpha = grid_lipschitz(scores + zeta, grid)
         for accuracy in (0.1, 0.01):
             steps = mixing_time_bound(alpha, grid.tau, d, accuracy, 0.05)
             dist = linf_mixing_distance(

@@ -17,6 +17,7 @@ from dpbilevel.errors import SizeCapError
 from dpbilevel.gridwalk import chain
 from dpbilevel.gridwalk.grid import EXACT_STATE_CAP, grid_with_cells
 from dpbilevel.problem import Dataset, Domain
+from oracles import grid_lipschitz
 
 
 def box(d, half=0.5):
@@ -195,6 +196,38 @@ def test_lemmas_respect_supplied_lipschitz_constant():
                                  alpha_lip=1.0)[2]
     assert slow.witness["t"] > fast.witness["t"]
     assert slow.passed and fast.passed
+
+
+LEMMA_INPUTS = (  # the scores, perturbations and grids the tests above use
+    (np.abs(np.linspace(-1.0, 1.0, 8)) * 2.0, np.zeros(8), (1, 8)),
+    (np.abs(np.linspace(-1.0, 1.0, 8)) * 2.0,
+     0.05 * np.where(np.sin(np.arange(8.0)) > 0, 1.0, -1.0), (1, 8)),
+    (np.array([0.0, 60.0]), np.array([0.1, -0.1]), (1, 2)),
+    (np.linspace(0.0, 0.75, 4), np.zeros(4), (1, 4)),
+    (np.linspace(0.0, 1.5, 16), 0.05 * np.cos(np.arange(16.0)), (2, 4)),
+)
+
+
+@pytest.mark.parametrize("f,zeta,shape", LEMMA_INPUTS)
+def test_lemma_lipschitz_default_matches_neighbor_loop(f, zeta, shape):
+    grid = grid_with_cells(box(shape[0]), shape[1])
+    mixing = verify_sampler_lemmas(f, zeta, grid, accuracy=0.3)[2]
+    assert mixing.witness["alpha_lip"] == grid_lipschitz(f + zeta, grid)
+
+
+def test_mixing_report_states_certified_steps():
+    grid = grid_with_cells(box(2), 4)
+    f = np.linspace(0.0, 1.5, 16)
+    zeta = 0.05 * np.cos(np.arange(16.0))
+    mixing = verify_sampler_lemmas(f, zeta, grid, accuracy=0.1)[2]
+    t, t_cert = mixing.witness["t"], mixing.witness["t_cert"]
+    assert isinstance(t_cert, int) and 1 <= t_cert <= t
+    # the closed form is the smallest t the certified bound accepts
+    perturbed = chain.exact_chain(f + zeta, grid)
+    P, pi = perturbed.transition, perturbed.stationary
+    assert chain._certified_distance(P, pi, t_cert) <= 0.1
+    assert chain._certified_distance(P, pi, t_cert - 1) > 0.1
+    assert json.loads(mixing.to_json())["witness"]["t_cert"] == t_cert
 
 
 def test_lemmas_compute_each_conductance_once(monkeypatch):

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpbilevel.errors import ConfigurationError, SizeCapError
+from dpbilevel.gridwalk import chain
 from dpbilevel.gridwalk.chain import (
+    CERTIFIED_FLOOR,
+    certified_mixing_steps,
     conductance_exact,
     dist_inf,
     exact_chain,
@@ -19,6 +22,7 @@ from dpbilevel.gridwalk.chain import (
 )
 from dpbilevel.gridwalk.grid import build_grid, grid_with_cells
 from dpbilevel.problem import Domain
+from oracles import grid_lipschitz
 
 
 def box(d, half=0.5):
@@ -148,15 +152,17 @@ def test_exact_chain_runs_no_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     big = exact_chain(f_big, big_grid)
     small = exact_chain(f_small, small_grid)
+    # the Cheeger bracket's gap comes from the banded solver, not a dense one
+    low, high = small.cheeger_interval()
+    big_low = big.cheeger_interval()[0]
     monkeypatch.undo()
 
     np.testing.assert_array_equal(big.transition, transition_matrix(f_big, big_grid))
     np.testing.assert_array_equal(big.stationary, stationary_from_scores(f_big))
     assert big.conductance_phi is None  # 64 states: above the enumeration cap
     assert small.conductance_phi == conductance_exact(small) > 0.0
-    low, high = small.cheeger_interval()
     assert low <= small.conductance_phi <= high
-    assert 0.0 < big.cheeger_interval()[0]
+    assert 0.0 < big_low
 
 
 def test_exact_chain_state_cap():
@@ -229,6 +235,9 @@ def test_spectral_path_matches_powering():
     f = rng.normal(size=120)
     analysis = exact_chain(f, grid)
     t = 5000
+    # the certificate declines here, so both calls run an exact path
+    assert chain._certified_distance(analysis.transition, analysis.stationary,
+                                     t) > CERTIFIED_FLOOR
     by_power = linf_mixing_distance(analysis.transition, analysis.stationary,
                                     t, spectral_threshold=10**9)
     by_eigen = linf_mixing_distance(analysis.transition, analysis.stationary,
@@ -246,6 +255,102 @@ def test_mixing_budget_is_conservative():
         t = mixing_time_bound(alpha_lip, grid.tau, 1, acc, zeta_bound=0.0)
         worst = linf_mixing_distance(analysis.transition, analysis.stationary, t)
         assert worst <= acc
+
+
+def _oracle_chain(name):
+    """(P, pi) of a chain small enough to take exact powers of."""
+    if name == "nonlazy":
+        # uniform pi, eigenvalues 1, 0.1, 0 and -0.9: |lambda_min| > lambda_2
+        # and min diag(P) = 0.05, so only the Gershgorin term covers -0.9
+        h = np.array([[1, 1, -1, -1], [1, -1, 1, -1]]) / 2.0
+        P = 0.25 + 0.1 * np.outer(h[0], h[0]) - 0.9 * np.outer(h[1], h[1])
+        return P, np.full(4, 0.25)
+    rng = np.random.default_rng(7)
+    d, cells = {"line": (1, 64), "square": (2, 8)}[name]
+    grid = grid_with_cells(box(d), cells)
+    analysis = exact_chain(rng.normal(size=grid.state_count), grid)
+    return analysis.transition, analysis.stationary
+
+
+@pytest.mark.parametrize("name", ["line", "square", "nonlazy"])
+def test_certified_bound_dominates_exact_distance(name):
+    # only where the exact distance is in [1e-6, 1] is it more than rounding
+    P, pi = _oracle_chain(name)
+    finite = 0
+    for t in np.unique(np.geomspace(1, 1e6, 40).astype(int)):
+        exact = chain._exact_distance(P, pi, int(t), spectral_threshold=512)
+        if not 1e-6 <= exact <= 1.0:
+            continue
+        bound = chain._certified_distance(P, pi, int(t))
+        assert bound >= exact
+        finite += math.isfinite(bound)
+    assert finite >= 2
+
+
+def test_lambda_star_covers_closed_form_lambda2():
+    # a flat 1-d chain of n states has lambda_2 = (1 + cos(pi/n)) / 2, and a
+    # flat m x m one (3 + cos(pi/m)) / 4; LAPACK's estimate lands on either
+    # side of it, so only the backward-error margin makes lambda* a bound
+    pi_long = np.arccos(np.longdouble(-1.0))
+    for d, sizes in ((1, range(2, 130)), (2, range(2, 16))):
+        for cells in sizes:
+            grid = grid_with_cells(box(d), cells)
+            analysis = exact_chain(np.zeros(grid.state_count), grid)
+            cos = np.cos(pi_long / cells)
+            exact = (1 + cos) / 2 if d == 1 else (3 + cos) / 4
+            lam = chain._lambda_star(analysis.transition, analysis.stationary)
+            assert lam >= exact, (d, cells)
+
+
+def test_certificate_declines_nonreversible_input():
+    grid = grid_with_cells(box(1), 32)
+    rng = np.random.default_rng(3)
+    P = transition_matrix(rng.normal(size=32), grid)
+    wrong_pi = stationary_from_scores(rng.normal(size=32))
+    assert chain._lambda_star(P, wrong_pi) == math.inf
+    assert certified_mixing_steps(P, wrong_pi, 0.1) is None
+    t = 10**9
+    assert linf_mixing_distance(P, wrong_pi, t) == chain._exact_distance(
+        P, wrong_pi, t, spectral_threshold=512)
+
+
+def test_small_t_takes_exact_path():
+    # far from mixed, the certificate declines and the exact value comes
+    # back bit for bit, by powering (64 states) and by eigh (600 states)
+    rng = np.random.default_rng(11)
+    for cells, t in ((64, 1), (64, 37), (64, 400), (600, 50)):
+        grid = grid_with_cells(box(1), cells)
+        analysis = exact_chain(rng.normal(size=cells), grid)
+        P, pi = analysis.transition, analysis.stationary
+        got = linf_mixing_distance(P, pi, t)
+        assert got == chain._exact_distance(P, pi, t, spectral_threshold=512)
+        assert got > CERTIFIED_FLOOR
+
+
+@pytest.mark.parametrize("d,cells", [(1, 2048), (2, 32)])
+def test_audit_size_chains_certify_without_dense_eigensolve(monkeypatch, d,
+                                                            cells):
+    grid = grid_with_cells(box(d, 1.0), cells)
+    centers = grid.centers_all()
+    u = np.random.default_rng(cells).uniform(-1.0, 1.0, grid.state_count)
+    scores = (1.5 * np.sin(2.0 * centers[:, 0] + 0.3)
+              + 0.8 * np.einsum("ij,ij->i", centers, centers)
+              + 0.05 * u / np.max(np.abs(u)))
+    analysis = exact_chain(scores, grid)
+    alpha = grid_lipschitz(scores, grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolve on the certified path")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for accuracy in (0.1, 0.01):
+        t = mixing_time_bound(alpha, grid.tau, d, accuracy, 0.05)
+        dist = linf_mixing_distance(analysis.transition, analysis.stationary, t)
+        assert dist <= accuracy
+        steps = certified_mixing_steps(analysis.transition,
+                                       analysis.stationary, accuracy)
+        assert steps is not None and steps <= t
 
 
 def test_mixing_budget_monotonicity():
