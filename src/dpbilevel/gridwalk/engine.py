@@ -37,7 +37,7 @@ DEFAULT_BLOCK_SIZE = 8192
 
 @functools.cache
 def _compiled_kernel() -> tuple[Optional[Callable], str]:
-    """Build and load _walkcore.c: (kernel, "") or (None, why it is unavailable).
+    """Build and load _walkcore.c: (walk_block, "") or (None, why it is unavailable).
 
     No -ffast-math and no -march=native: bit-identity with the Python kernel
     rests on IEEE comparisons and the same libm exp.  The library file is
@@ -60,23 +60,47 @@ def _compiled_kernel() -> tuple[Optional[Callable], str]:
     except OSError as exc:
         return None, f"cannot build or load {source.name}: {exc}"
 
-    i64 = ctypes.c_int64
-    i64_ptr = ctypes.POINTER(i64)
-    i64_array = np.ctypeslib.ndpointer(np.int64, ndim=1, flags=("C", "W"))
-    walk_block.argtypes = [
-        np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C"), i64, i64,
-        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C"), i64_ptr, i64_array,
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C"), i64, i64_ptr,
-    ]
+    # Arrays go in as bare addresses (see _compiled_binding): no argument
+    # conversion runs Python code, which a signal handler could interrupt.
+    address, i64 = ctypes.c_void_p, ctypes.c_int64
+    walk_block.argtypes = [address, i64, i64, address, address, address, address, i64, address]
     walk_block.restype = i64
+    return walk_block, ""
 
-    def kernel(table, m, d, strides, state, coords, U):
-        state_io, fault = i64(state), i64(-1)
-        consumed = walk_block(table, m, d, strides, ctypes.byref(state_io), coords,
-                              U, U.shape[0], ctypes.byref(fault))
+
+def _address(a: np.ndarray, dtype, ndim: int, writeable: bool = False) -> int:
+    """Data address of a, after the checks the kernel's pointer arguments need."""
+    if a.dtype != dtype or a.ndim != ndim or not a.flags.c_contiguous:
+        raise TypeError(f"walk kernel needs a C-contiguous {ndim}-d {np.dtype(dtype)} array, "
+                        f"got a {a.ndim}-d {a.dtype} array")
+    if writeable and not a.flags.writeable:
+        raise TypeError("walk kernel writes to a read-only array")
+    return a.__array_interface__["data"][0]
+
+
+def _compiled_binding(walk_block, table, m, d, strides, coords) -> Callable:
+    """walk_block over one run's arrays, as kernel(state, U, offset).
+
+    The arrays are checked and their addresses taken once per run; U's rows
+    from offset on are passed by address arithmetic, not by slicing.  A call
+    therefore runs no Python code inside ctypes, so an exception raised by a
+    signal handler (a deadline, say) leaves the call as itself rather than as
+    ctypes.ArgumentError.  The caller keeps every array alive for the run.
+    """
+    table_at = _address(table, np.float64, 1)
+    strides_at = _address(strides, np.int64, 1)
+    coords_at = _address(coords, np.int64, 1, writeable=True)
+    state_io, fault = ctypes.c_int64(), ctypes.c_int64()
+    state_at, fault_at = ctypes.addressof(state_io), ctypes.addressof(fault)
+
+    def kernel(state, U, offset):
+        state_io.value = state
+        consumed = walk_block(table_at, m, d, strides_at, state_at, coords_at,
+                              U.__array_interface__["data"][0] + offset * U.strides[0],
+                              U.shape[0] - offset, fault_at)
         return state_io.value, consumed, fault.value
 
-    return kernel, ""
+    return kernel
 
 
 def available_engines() -> tuple[str, ...]:
@@ -147,11 +171,11 @@ def run_walk(
         raise ValueError(f"score table of shape {table.shape} for a {grid.state_count}-state grid")
     if not (0 <= start_state < grid.state_count):
         raise ValueError(f"start_state {start_state} outside a {grid.state_count}-state grid")
-    kernel = _walk_block_python
+    compiled = None
     if engine != "python":
         compiled, reason = _compiled_kernel()
         if compiled is not None:
-            kernel, engine = compiled, "compiled"
+            engine = "compiled"
         elif engine == "compiled":
             raise SamplerFailure(f"compiled walk engine unavailable: {reason}")
         else:
@@ -165,16 +189,20 @@ def run_walk(
     coords = np.array(grid.unravel(state), dtype=np.int64)
     strides = grid._strides
     m, d = grid.cells_per_axis, grid.d
+    if compiled is not None:
+        kernel = _compiled_binding(compiled, table, m, d, strides, coords)
+    else:
+        def kernel(state, U, offset):
+            return _walk_block_python(table, m, d, strides, state, coords, U[offset:])
     faults = 0
     remaining = int(steps)
     while remaining > 0:
         rows = min(remaining, DEFAULT_BLOCK_SIZE)
         U = rng.random((rows, 3))
+        _address(U, np.float64, 2)  # the compiled kernel reads U by address
         offset = 0
         while offset < rows:
-            state, consumed, fault = kernel(
-                table, m, d, strides, state, coords, U[offset:]
-            )
+            state, consumed, fault = kernel(state, U, offset)
             offset += consumed
             if fault >= 0:
                 if score_fill is None:

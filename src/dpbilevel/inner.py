@@ -59,15 +59,17 @@ def solve_lower_level(
     """
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
-    max_iters = default_max_iters(a, p.y_box, alpha)
     step = 1.0 / a.beta_gyy
     y = np.array(p.y_box.center if warm_start is None else warm_start, dtype=float)
     iterations = 0
+    max_iters = None  # sized at the first failed certificate; warm starts rarely need it
     while True:
         g = np.asarray(p.grad_g_y(x, y, Z), dtype=float)
-        certified = float(np.linalg.norm(g)) / a.mu_g
+        certified = math.sqrt(g.dot(g)) / a.mu_g
         if certified <= alpha:
             return InnerSolveResult(y=y, certified_error=certified, iterations=iterations)
+        if max_iters is None:
+            max_iters = default_max_iters(a, p.y_box, alpha)
         if iterations >= max_iters:
             raise NonConvergenceError(
                 f"lower-level solve: certificate {certified:.3e} > alpha {alpha:.3e} "

@@ -67,7 +67,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Domain:
-    """A closed convex constraint set: a Euclidean ball or an axis-aligned box."""
+    """A closed convex constraint set: a Euclidean ball or an axis-aligned box.
+
+    The box bounds, the diameter and whether every half-width is positive
+    (so the gauge needs no zero-width guard) are fixed at construction, so
+    ``center`` and ``half_widths`` must not be mutated afterwards.
+    """
 
     kind: str
     center: np.ndarray
@@ -79,6 +84,7 @@ class Domain:
         if self.kind == "ball":
             if self.radius is None or self.radius < 0:
                 raise ConfigurationError("ball domain needs a nonnegative radius")
+            diameter = 2.0 * float(self.radius)
         elif self.kind == "box":
             if self.half_widths is None:
                 raise ConfigurationError("box domain needs half_widths")
@@ -86,8 +92,13 @@ class Domain:
             if hw.shape != self.center.shape or np.any(hw < 0):
                 raise ConfigurationError("half_widths must be nonnegative, same shape as center")
             object.__setattr__(self, "half_widths", hw)
+            object.__setattr__(self, "_low", self.center - hw)
+            object.__setattr__(self, "_high", self.center + hw)
+            object.__setattr__(self, "_widths_positive", bool(np.all(hw > 0)))
+            diameter = 2.0 * float(np.linalg.norm(hw))
         else:
             raise ConfigurationError(f"unknown domain kind {self.kind!r}")
+        object.__setattr__(self, "_diameter", diameter)
 
     @property
     def dim(self) -> int:
@@ -96,9 +107,7 @@ class Domain:
     @property
     def diameter(self) -> float:
         """l2-diameter of the set."""
-        if self.kind == "ball":
-            return 2.0 * float(self.radius)
-        return 2.0 * float(np.linalg.norm(self.half_widths))
+        return self._diameter
 
     @property
     def inf_width(self) -> float:
@@ -117,11 +126,11 @@ class Domain:
         x = np.asarray(x, dtype=float)
         if self.kind == "ball":
             v = x - self.center
-            r = np.linalg.norm(v)
+            r = math.sqrt(v.dot(v))
             if r <= self.radius:
                 return x.copy()
             return self.center + v * (self.radius / r)
-        return np.clip(x, self.center - self.half_widths, self.center + self.half_widths)
+        return np.clip(x, self._low, self._high)
 
     def project_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -132,14 +141,16 @@ class Domain:
             outside = r > self.radius
             scale[outside] = self.radius / r[outside]
             return self.center + V * scale[:, None]
-        return np.clip(X, self.center - self.half_widths, self.center + self.half_widths)
+        return np.clip(X, self._low, self._high)
 
     def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
         return self.distance(x) <= tol
 
     def distance(self, x: np.ndarray) -> float:
         """l2 distance from x to the set (0 inside)."""
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - self.project(x)))
+        x = np.asarray(x, dtype=float)
+        v = x - self.project(x)
+        return math.sqrt(v.dot(v))
 
     def distance_many(self, X: np.ndarray) -> np.ndarray:
         return np.linalg.norm(X - self.project_many(X), axis=1)
@@ -150,11 +161,14 @@ class Domain:
         if self.kind == "ball":
             if self.radius == 0:
                 return 0.0 if not np.any(v) else math.inf
-            return float(np.linalg.norm(v)) / self.radius
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(self.half_widths > 0, np.abs(v) / self.half_widths,
-                              np.where(v == 0, 0.0, math.inf))
-        return float(np.max(ratios)) if ratios.size else 0.0
+            return math.sqrt(v.dot(v)) / self.radius
+        if self._widths_positive:
+            ratios = np.abs(v) / self.half_widths
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(self.half_widths > 0, np.abs(v) / self.half_widths,
+                                  np.where(v == 0, 0.0, math.inf))
+        return float(ratios.max()) if ratios.size else 0.0
 
     def gauge_many(self, X: np.ndarray) -> np.ndarray:
         V = X - self.center

@@ -1,7 +1,9 @@
 """Step-level oracle checks and engine interchangeability for the walk."""
 
+import itertools
 import math
 import shutil
+import sys
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -128,6 +130,54 @@ def test_engines_bit_identical(small_blocks, d, fill_nan):
     assert a.state == b.state
     assert a.faults == b.faults
     assert (a.faults > 0) == fill_nan
+
+
+class Interrupt(BaseException):
+    """Stands in for what a signal handler raises, e.g. a deadline."""
+
+
+def interrupt_kernel_call(i):
+    """Profile hook raising Interrupt(i) at the i-th Python call made inside a kernel call.
+
+    The kernel call itself is call 1; any Python code ctypes runs to convert
+    its arguments follows.
+    """
+    seen = {"depth": 0, "calls": 0}
+
+    def is_kernel(frame):
+        code = frame.f_code
+        return code.co_name == "kernel" and code.co_filename == engine_module.__file__
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen["depth"] += is_kernel(frame)
+            if seen["depth"]:
+                seen["calls"] += 1
+                if seen["calls"] == i:
+                    raise Interrupt(i)
+        elif event == "return" and is_kernel(frame):
+            seen["depth"] -= 1
+
+    return hook
+
+
+@pytest.mark.skipif(not HAS_COMPILED, reason="compiled engine not built")
+def test_exception_inside_compiled_call_leaves_as_itself(small_blocks):
+    # a handler that fires while ctypes runs Python argument conversion is
+    # re-raised as ctypes.ArgumentError; the kernel must give it no such chance
+    interrupted = 0
+    for i in itertools.count(1):
+        sys.setprofile(interrupt_kernel_call(i))
+        try:
+            run_pair("compiled", d=2, fill_nan=True, steps=1500)
+        except Interrupt as exc:
+            assert exc.args == (i,)
+            interrupted += 1
+            continue
+        finally:
+            sys.setprofile(None)
+        break  # the walk ran out of kernel calls before the i-th Python call
+    assert interrupted > 1  # one per kernel call: every block and every fault
 
 
 def test_compiled_engine_loads_wherever_cc_exists():

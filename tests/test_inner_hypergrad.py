@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from dpbilevel import inner
-from dpbilevel.errors import ConfigurationError, NonConvergenceError
+from dpbilevel.errors import (AssumptionViolationError, ConfigurationError,
+                              NonConvergenceError)
 from dpbilevel.hypergrad import approx_hypergradient
 from dpbilevel.inner import phi_solution_pair, solve_lower_level
 from dpbilevel.instances import make_instance
-from dpbilevel.problem import derive_constants
+from dpbilevel.problem import BilevelProblem, Dataset, Domain, derive_constants
 from dpbilevel.rng import make_generator
-from oracles import finite_diff_phi_gradient
+from oracles import cholesky_hypergradient, finite_diff_phi_gradient
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,20 @@ def test_budget_exhaustion_raises(quad, monkeypatch):
     with pytest.raises(NonConvergenceError):
         solve_lower_level(fx.problem, Z, np.array([0.9, 0.1]), 1e-12,
                           fx.constants)
+
+
+def test_certified_warm_start_never_sizes_the_budget(quad, monkeypatch):
+    fx, Z = quad
+    x = np.array([0.3, -0.2])
+    y = solve_lower_level(fx.problem, Z, x, 1e-7, fx.constants).y
+
+    def unreachable(a, y_box, alpha):
+        raise AssertionError("budget sized for a solve that certified at iteration 0")
+
+    monkeypatch.setattr(inner, "default_max_iters", unreachable)
+    warm = solve_lower_level(fx.problem, Z, x, 1e-7, fx.constants, warm_start=y)
+    assert warm.iterations == 0
+    np.testing.assert_array_equal(warm.y, y)
 
 
 def test_alpha_must_be_positive(quad):
@@ -150,3 +165,70 @@ def test_bias_bound_on_ridge(ridge):
             moved = approx_hypergradient(fx.problem, Z, x, y).vector
             shift = np.linalg.norm(y - y_true)
             assert np.linalg.norm(moved - base) <= C * shift + 1e-10
+
+
+def fixed_problem(gx, gy, Hxy, Hyy):
+    """A problem whose hypergradient inputs are the given arrays at every point."""
+    d_x, d_y = len(gx), len(gy)
+    return BilevelProblem(
+        d_x=d_x, d_y=d_y,
+        f=lambda x, y, Z: 0.0,
+        grad_f_x=lambda x, y, Z: gx,
+        grad_f_y=lambda x, y, Z: gy,
+        grad_g_y=lambda x, y, Z: np.zeros(d_y),
+        hess_g_xy=lambda x, y, Z: Hxy,
+        hess_g_yy=lambda x, y, Z: Hyy,
+        domain_x=Domain("ball", np.zeros(d_x), radius=1.0),
+        y_box=Domain("box", np.zeros(d_y), half_widths=np.ones(d_y)),
+    )
+
+
+def assert_same_as_cho_solve(p, Z, x, y):
+    hg = approx_hypergradient(p, Z, x, y)
+    vector, residual = cholesky_hypergradient(p, Z, x, y)
+    assert hg.vector.tobytes() == vector.tobytes()
+    assert hg.linear_solve_residual == residual
+    assert type(hg.linear_solve_residual) is float
+
+
+@pytest.mark.parametrize("d_y", [1, 2, 3, 5])
+def test_lapack_solve_bitwise_equals_cho_solve_random_spd(d_y):
+    rng = make_generator(100 + d_y)
+    Z = Dataset(np.zeros((1, 1)))
+    for _ in range(20):
+        B = rng.normal(size=(d_y, d_y))
+        # SPD up to an asymmetric rounding-sized perturbation the solver symmetrizes
+        Hyy = B @ B.T + 0.1 * np.eye(d_y) + 1e-13 * rng.normal(size=(d_y, d_y))
+        p = fixed_problem(rng.normal(size=3), rng.normal(size=d_y),
+                          rng.normal(size=(3, d_y)), Hyy)
+        assert_same_as_cho_solve(p, Z, np.zeros(3), np.zeros(d_y))
+
+
+def test_lapack_solve_bitwise_equals_cho_solve_on_instances(quad, ridge):
+    for fx, Z in (quad, ridge):
+        rng = make_generator(21)
+        for _ in range(8):
+            x = random_x(fx, rng)
+            y = fx.problem.y_box.project(
+                solve_lower_level(fx.problem, Z, x, 1e-6, fx.constants).y
+                + 0.1 * rng.normal(size=fx.problem.d_y))
+            assert_same_as_cho_solve(fx.problem, Z, x, y)
+
+
+def test_indefinite_hessian_is_an_assumption_violation():
+    Hyy = np.array([[1.0, 0.0], [0.0, -1e-3]])
+    p = fixed_problem(np.zeros(1), np.ones(2), np.ones((1, 2)), Hyy)
+    with pytest.raises(AssumptionViolationError, match="not positive definite"):
+        approx_hypergradient(p, Dataset(np.zeros((1, 1))), np.zeros(1), np.zeros(2))
+
+
+@pytest.mark.parametrize("where", ["hessian", "gradient"])
+def test_non_finite_input_raises_value_error(where):
+    Hyy, gy = np.eye(2), np.ones(2)
+    if where == "hessian":
+        Hyy[0, 1] = np.nan
+    else:
+        gy[1] = np.inf
+    p = fixed_problem(np.zeros(1), gy, np.ones((1, 2)), Hyy)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        approx_hypergradient(p, Dataset(np.zeros((1, 1))), np.zeros(1), np.zeros(2))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dpbilevel.errors import ConfigurationError
 from dpbilevel.problem import AssumptionConstants, Dataset, Domain, derive_constants
+from oracles import domain_diameter, domain_distance, domain_gauge, domain_project
 
 
 def all_ones(**overrides):
@@ -107,6 +108,44 @@ def test_projection_idempotent_nonexpansive(d, seed):
     px, py = dom.project(x), dom.project(y)
     np.testing.assert_allclose(dom.project(px), px, atol=1e-12)
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
+
+
+ORACLE_DOMAINS = {
+    "ball": Domain("ball", np.array([0.5, -1.0, 2.0]), radius=1.5),
+    "point_ball": Domain("ball", np.array([0.5, -1.0]), radius=0.0),
+    "box": Domain("box", np.array([1.0, -1.0, 0.25]),
+                  half_widths=np.array([1.0, 0.5, 2.0])),
+    "flat_box": Domain("box", np.array([1.0, -1.0, 0.25]),
+                       half_widths=np.array([1.0, 0.0, 2.0])),
+}
+
+
+def oracle_points(dom, rng):
+    """Inside, boundary and outside points, plus the center and the corners."""
+    d = dom.dim
+    if dom.kind == "ball":
+        directions = rng.normal(size=(12, d))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        scales = [0.0, 0.3, 1.0, 1.0 + 1e-15, 2.5]
+        steps = [dom.radius * s * u for s in scales for u in directions]
+    else:
+        signs = rng.choice([-1.0, 0.0, 1.0], size=(24, d))
+        scales = [0.3, 1.0, 1.0 + 1e-15, 2.5]
+        steps = [dom.half_widths * s * u for s in scales for u in signs]
+        steps += [dom.half_widths * rng.uniform(-3, 3, size=d) for _ in range(24)]
+        steps += [np.eye(d)[k] * 0.7 for k in range(d)]  # off a zero-width axis too
+    return [dom.center + step for step in steps]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_domain_matches_per_call_formulas(name):
+    dom = ORACLE_DOMAINS[name]
+    assert dom.diameter == domain_diameter(dom)
+    for x in oracle_points(dom, np.random.default_rng(len(name))):
+        assert dom.project(x).tobytes() == domain_project(dom, x).tobytes()
+        assert dom.distance(x) == domain_distance(dom, x)
+        assert dom.gauge(x) == domain_gauge(dom, x)
+        assert type(dom.distance(x)) is float and type(dom.gauge(x)) is float
 
 
 def test_unknown_domain_kind():
