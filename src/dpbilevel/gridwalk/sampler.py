@@ -13,10 +13,14 @@ plan_sampler:
 
 * short_cube — the score varies by less than 1 across the cube, so a
   uniform proposal is accepted against the cube center at rate >= 1/e.
-* enumerate — the grid is small enough to score every cell: the cell comes
-  from the exact Gibbs law over centers (no walk, no mixing error).
+* enumerate — every cell is scored once and the cell comes from the exact
+  Gibbs law over centers (no walk, no mixing error).  Chosen for grids of up
+  to ENUM_STATE_CAP states, and for any grid no larger than the walk's step
+  budget: a walk that long costs more than the enumeration it approximates.
+  In d <= 3 the budget exceeds every state count up to WALK_STATE_CAP.
 * walk — the lazy Metropolis chain run for its closed-form step budget,
-  scoring cells lazily as it first touches them.
+  scoring cells lazily as it first touches them.  Chosen only when that
+  budget is below the state count (large grids in d >= 4) or when forced.
 
 Grid attempts finish by proposing a uniform point theta in the landed cell
 and accepting with exp(-f'(theta)) / (e * exp(-f'(center))); a rejection
@@ -41,6 +45,9 @@ from .evaluator import Evaluator, ExtendedEvaluator
 from .grid import WALK_STATE_CAP, GridSpec, build_grid, grid_with_cells
 
 #: states up to which every cell is scored and the Gibbs law drawn exactly
+#: without consulting the walk budget; larger grids are enumerated too when
+#: the walk would take at least as many steps, and the coarse fallback is
+#: taken only if it has at most this many states
 ENUM_STATE_CAP = 2**14
 #: attempts (uniform proposals, or full walks) before the sampler gives up
 RESTART_CAP = 64
@@ -93,13 +100,15 @@ def plan_sampler(
 
     The budget is split evenly: half to grid discretization, half to walk
     mixing (branches that sample their grid law exactly simply keep the
-    second half).  Grids of up to ENUM_STATE_CAP states are enumerated,
-    larger ones walked, up to WALK_STATE_CAP.  When the accuracy-sized grid
-    is too large even to walk, the planner falls back to the coarsest valid
-    grid (gamma = 1/(2 alpha)) provided that one is enumerable — exact
-    sampling on a coarser grid rather than no answer; the achieved gamma is
-    visible on the plan.  force_walk disables the short-cube and
-    enumeration branches and the coarse fallback.
+    second half).  The accuracy grid (at most WALK_STATE_CAP states) is
+    enumerated when it has at most max(ENUM_STATE_CAP, walk steps) states,
+    where walk steps is mixing_time_bound's budget, and walked otherwise.
+    When the accuracy-sized grid exceeds WALK_STATE_CAP, the planner falls
+    back to the coarsest valid grid (gamma = 1/(2 alpha)) provided it has at
+    most ENUM_STATE_CAP states — exact sampling on a coarser grid rather
+    than no answer; the achieved gamma is visible on the plan.  force_walk
+    disables the short-cube and enumeration branches and the coarse
+    fallback.
     """
     if xi <= 0:
         raise ConfigurationError("xi must be positive")
@@ -124,11 +133,16 @@ def plan_sampler(
     except SizeCapError:
         grid = None
 
-    if grid is not None and grid.state_count <= ENUM_STATE_CAP and not force_walk:
-        return SamplerPlan("enumerate", grid, 0, alpha_lip, tau, xi, zeta)
     if grid is not None:
-        steps = mixing_time_bound(alpha_lip, tau, d, acc, zeta)
-        return SamplerPlan("walk", grid, steps, alpha_lip, tau, xi, zeta)
+        # a walk of at least state_count steps is more work than scoring
+        # every state once, and its law is only approximate: walk only when
+        # its budget is below the state count.  Grids within ENUM_STATE_CAP
+        # skip the budget, which overflows float range at a large zeta.
+        if force_walk or grid.state_count > ENUM_STATE_CAP:
+            steps = mixing_time_bound(alpha_lip, tau, d, acc, zeta)
+            if force_walk or steps < grid.state_count:
+                return SamplerPlan("walk", grid, steps, alpha_lip, tau, xi, zeta)
+        return SamplerPlan("enumerate", grid, 0, alpha_lip, tau, xi, zeta)
     if not force_walk:
         m_min = max(1, int(math.ceil(2.0 * alpha_lip * tau)))
         if m_min**d <= ENUM_STATE_CAP:

@@ -595,9 +595,9 @@ def test_13_ledger_replay_determinism():
 
     Fifty randomized runs across all five mechanism entry points, fixture
     dimensions 1-2, both regularized modes, forced step-count overrides,
-    and a few wide grids that exercise the step-walk sampling branch; every
-    replay must return identical outputs and trajectories, not merely close
-    ones.
+    and a few forced walks that exercise the step-walk sampling branch;
+    every replay must return identical outputs and trajectories, not merely
+    close ones.
     """
     quad1 = make_instance("quadratic", d_x=1, d_y=2, seed=0)
     quad2 = make_instance("quadratic", d_x=2, d_y=2, seed=3)
@@ -616,12 +616,14 @@ def test_13_ledger_replay_determinism():
             res = exponential_mechanism(fx.problem, Z, fx.constants, eps,
                                         1.0, seed)
         elif kind == 1:
-            # the 2-d draws plan walks of tens of millions of steps, which
-            # drives the sequential sampling kernel rather than enumeration
-            fx = quad2 if i in (1, 21, 41) else quad1
+            # three draws force the walk on the 1-d grid, so replay covers
+            # the sequential sampling kernel; the planner alone enumerates
+            # every grid here, since each walk budget exceeds its state count
+            fx = quad1
             Z = fx.sample_dataset(int(rng.integers(6, 16)), seed=i)
             res = grad_norm_exp_mechanism(fx.problem, Z, fx.constants, eps,
-                                          1.0, seed)
+                                          1.0, seed,
+                                          force_walk=i in (1, 21, 41))
         elif kind == 2:
             fx = quad1 if i % 2 else hard1
             Z = fx.sample_dataset(int(rng.integers(8, 24)), seed=i)
@@ -642,6 +644,8 @@ def test_13_ledger_replay_determinism():
                              seed)
         runs.append((fx, Z, res))
 
+    assert any(res.ledger.get("plan", {}).get("branch") == "walk"
+               for _, _, res in runs)
     for fx, Z, res in runs:
         replay = replay_mechanism(fx.problem, Z, fx.constants, res)
         assert np.array_equal(res.x_out, replay.x_out)

@@ -356,3 +356,19 @@ def test_exponential_mechanism_json_roundtrip(quad, force_walk):
     again = replay_mechanism(fx.problem, Z, fx.constants, revived)
     np.testing.assert_array_equal(again.x_out, res.x_out)
     assert again.ledger == res.ledger
+
+
+def test_grad_norm_release_enumerates_grid_below_walk_budget():
+    # 129^2 = 16,641 states, one more than the enumeration cap, against a
+    # 12.4M-step walk: the planner samples the exact grid law instead
+    fx = make_instance("quadratic", d_x=2)
+    Z = fx.sample_dataset(64, seed=0)
+    res = grad_norm_exp_mechanism(fx.problem, Z, fx.constants, 1.0, 1.0, rng=0)
+    plan = res.ledger["plan"]
+    assert plan["branch"] == "enumerate"
+    assert plan["states"] == 16_641
+    assert plan["walk_steps"] == 0
+    assert res.ledger["walk_faults"] == 0
+    again = replay_mechanism(fx.problem, Z, fx.constants, res)
+    np.testing.assert_array_equal(again.x_out, res.x_out)
+    assert again.ledger == res.ledger

@@ -19,6 +19,7 @@ from dpbilevel.gridwalk.sampler import (
     plan_sampler,
     sample_logconcave_detailed,
 )
+from dpbilevel.gridwalk.chain import mixing_time_bound
 from dpbilevel.gridwalk.engine import run_walk
 from dpbilevel.problem import Domain
 
@@ -60,11 +61,37 @@ def test_plan_enumerates_small_grids():
     assert plan.walk_steps == 0
 
 
-def test_plan_walks_above_enumeration_cap():
+def test_plan_enumerates_grids_smaller_than_the_walk_budget():
+    # 566^2 = 320,356 states against a 116.8M-step walk: scoring every
+    # state once is less work than the walk and samples the law exactly
     plan = plan_sampler(box(2), alpha_lip=2.0, xi=0.02, zeta=0.0)
+    assert plan.branch == "enumerate"
+    assert plan.grid.state_count == 320_356 > ENUM_STATE_CAP
+    assert plan.walk_steps == 0
+    assert plan.grid.state_count < mixing_time_bound(2.0, 1.0, 2, 0.01, 0.0)
+
+
+def test_plan_walks_when_the_budget_is_below_the_state_count():
+    plan = plan_sampler(box(4), alpha_lip=2.0, xi=0.5, zeta=0.0)
     assert plan.branch == "walk"
-    assert plan.grid.state_count > ENUM_STATE_CAP
-    assert plan.walk_steps >= 1
+    assert plan.grid.state_count == 1_048_576
+    assert plan.walk_steps == 933_253
+
+
+def test_plan_force_walk_walks_above_the_enumeration_cap():
+    plan = plan_sampler(box(2), alpha_lip=2.0, xi=0.02, zeta=0.0, force_walk=True)
+    assert plan.branch == "walk"
+    assert plan.grid.state_count == 320_356
+    assert plan.walk_steps == mixing_time_bound(2.0, 1.0, 2, 0.01, 0.0)
+
+
+def test_plan_small_grid_enumerates_when_the_walk_budget_overflows():
+    # a declared error this large puts the walk budget past float range;
+    # a grid within ENUM_STATE_CAP never needs the budget
+    with pytest.raises(OverflowError):
+        mixing_time_bound(4.0, 1.0, 1, 0.25, 60.0)
+    plan = plan_sampler(box(1), alpha_lip=4.0, xi=0.5, zeta=60.0)
+    assert plan.branch == "enumerate" and plan.grid.cells_per_axis == 32
 
 
 def test_plan_walk_budget_grows_with_declared_error():
