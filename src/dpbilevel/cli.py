@@ -450,12 +450,8 @@ def run_audits(config: ExperimentConfig) -> dict:
         xi_audit = min(eps, 1e-3)
 
         def exp_law_factory(eps_run):
-            def law(ds):
-                out, _ = mechanism_grid_law(
-                    p, ds, a, "exponential_mechanism", eps_run, xi=xi_audit,
-                    grid=grid)
-                return out
-            return law
+            return lambda ds: mechanism_grid_law(
+                p, ds, a, "exponential_mechanism", eps_run, xi=xi_audit, grid=grid)
 
         reports.append(exact_dp_audit(
             exp_law_factory(eps), Z, swaps, eps, 0.0,
@@ -468,12 +464,9 @@ def run_audits(config: ExperimentConfig) -> dict:
             fixture, grid, Z, swaps, eps, xi_audit, exp_law_factory))
 
         def reg_law_factory(k_reg):
-            def law(ds):
-                out, _ = mechanism_grid_law(
-                    p, ds, a, "regularized_exp_mechanism", eps, xi=xi_audit,
-                    delta=delta_audit, k_reg=k_reg, grid=grid)
-                return out
-            return law
+            return lambda ds: mechanism_grid_law(
+                p, ds, a, "regularized_exp_mechanism", eps, xi=xi_audit,
+                delta=delta_audit, k_reg=k_reg, grid=grid)
 
         reports.append(exact_dp_audit(
             reg_law_factory(K_REG), Z, swaps, eps, delta_audit,
@@ -495,7 +488,7 @@ def run_audits(config: ExperimentConfig) -> dict:
         })
     else:
         lemma_grid = grid_with_cells(p.domain_x, lemma_cells)
-        law, _ = mechanism_grid_law(
+        law = mechanism_grid_law(
             p, Z, a, "exponential_mechanism", eps, xi=eps, grid=lemma_grid)
         f_values = -np.log(law)
         zeta = min(eps / 12.0, 0.25)

@@ -1,19 +1,19 @@
 """Score evaluators: possibly perturbed oracles for the walk's energy.
 
-An Evaluator wraps an oracle for f'(theta) = f(theta) + perturbation with
-|perturbation| <= zeta_bound, plus the declared infinity-norm Lipschitz
-constant of the exact f.  ExtendedEvaluator turns a score on a convex body
-into one on its enclosing cube: project onto the body, add the projection
-distance times the l2-Lipschitz constant, and add a gauge penalty pushing
-mass back into the body.  Inside the body the extension equals the original
-score exactly.
+An Evaluator wraps one batch oracle for f'(theta) = f(theta) + perturbation
+with |perturbation| <= zeta_bound, plus the declared infinity-norm Lipschitz
+constant of the exact f; a single point is a batch of one.
+ExtendedEvaluator turns a score on a convex body into one on its enclosing
+cube: project onto the body, add the projection distance times the
+l2-Lipschitz constant, and add a gauge penalty pushing mass back into the
+body.  Inside the body the extension equals the original score exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,20 +24,14 @@ from ..problem import Domain
 class Evaluator:
     """Inexact score oracle.
 
-    eval returns f'(theta); the exact f must be alpha_lip-Lipschitz in the
-    infinity norm and the perturbation bounded by zeta_bound pointwise.
-    eval_many is an optional vectorized fast path over rows of a matrix.
+    evaluate_many maps an (m, d) matrix of points to their m values
+    f'(theta); the exact f must be alpha_lip-Lipschitz in the infinity norm
+    and the perturbation bounded by zeta_bound pointwise.
     """
 
-    eval: Callable[[np.ndarray], float]
+    evaluate_many: Callable[[np.ndarray], np.ndarray]
     zeta_bound: float
     alpha_lip: float
-    eval_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def evaluate_many(self, thetas: np.ndarray) -> np.ndarray:
-        if self.eval_many is not None:
-            return np.asarray(self.eval_many(thetas), dtype=float)
-        return np.array([self.eval(t) for t in thetas], dtype=float)
 
 
 class ExtendedEvaluator:
@@ -46,23 +40,26 @@ class ExtendedEvaluator:
     ext(theta) = base(proj(theta)) + L2 * dist(theta, body)
                  + alpha_gauge * max(0, gauge(theta) - 1)
 
-    The extension is exact on the body, and its infinity-norm Lipschitz
-    constant is tracked so grids can be sized from declared quantities only.
+    with alpha_gauge = 2 * L2 * diameter, heavy enough that the mass the
+    extension leaves outside the body stays negligible.  The extension is
+    exact on the body, and its infinity-norm Lipschitz constant is tracked
+    so grids can be sized from declared quantities only.
     """
 
-    def __init__(self, base: Evaluator, domain: Domain, L_lip2: float, alpha_gauge: float):
+    def __init__(self, base: Evaluator, domain: Domain, L_lip2: float):
         self.base = base
         self.domain = domain
         self.L_lip2 = float(L_lip2)
-        self.alpha_gauge = float(alpha_gauge)
+        self.alpha_gauge = 2.0 * self.L_lip2 * domain.diameter
         self.zeta_bound = base.zeta_bound
         rd = math.sqrt(domain.dim)
         base_term = min(base.alpha_lip, rd * L_lip2) if base.alpha_lip > 0 else rd * L_lip2
-        self.alpha_lip = base_term + rd * (L_lip2 + alpha_gauge * domain.gauge_lip2())
+        self.alpha_lip = base_term + rd * (L_lip2 + self.alpha_gauge * domain.gauge_lip2())
 
     def eval(self, theta: np.ndarray) -> float:
+        """ext at one point, through the Domain point methods."""
         p = self.domain.project(theta)
-        val = float(self.base.eval(p))
+        val = float(self.base.evaluate_many(p[None])[0])
         val += self.L_lip2 * float(np.linalg.norm(np.asarray(theta, float) - p))
         g = self.domain.gauge(theta)
         if g > 1.0:

@@ -172,15 +172,6 @@ def grid_law(evaluator, grid: GridSpec) -> np.ndarray:
     return stationary_from_scores(table)
 
 
-def extend_to_cube(evaluator: Evaluator, domain: Domain, L_lip2: float) -> ExtendedEvaluator:
-    """The cube-wide score the sampler actually runs on.
-
-    The gauge penalty weight is 2 * L_lip2 * diameter, heavy enough that the
-    mass the extension leaves outside the body stays negligible.
-    """
-    return ExtendedEvaluator(evaluator, domain, L_lip2, 2.0 * L_lip2 * domain.diameter)
-
-
 def sample_logconcave_detailed(
     evaluator: Evaluator,
     domain: Domain,
@@ -199,7 +190,7 @@ def sample_logconcave_detailed(
     attempts.
     """
     _, gen = seed_and_generator(rng)
-    ext = extend_to_cube(evaluator, domain, L_lip2)
+    ext = ExtendedEvaluator(evaluator, domain, L_lip2)
     if plan is None:
         plan = plan_sampler(domain, ext.alpha_lip, xi, ext.zeta_bound,
                             force_walk=force_walk)

@@ -27,7 +27,9 @@ Every result carries a ledger sufficient to replay it bit-for-bit
 (replay_mechanism) and serializes to JSON.  MECHANISMS, at the bottom, is
 the one place a mechanism's name maps to the keywords its ledger records
 (which replay and the CLI pass back in) and, for the samplers, to the score
-whose exact grid law the audits check (mechanism_grid_law).
+whose exact grid law the audits check (mechanism_grid_law).  A score is one
+batch function of the points (an Evaluator); the sampler's walk scores a
+single point as a batch of one.
 """
 
 from __future__ import annotations
@@ -41,14 +43,9 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .gridwalk.evaluator import Evaluator
-from .gridwalk.grid import GridSpec, grid_with_cells
-from .gridwalk.sampler import (
-    extend_to_cube,
-    grid_law,
-    sample_logconcave_detailed,
-    seed_and_generator,
-)
+from .gridwalk.evaluator import Evaluator, ExtendedEvaluator
+from .gridwalk.grid import GridSpec
+from .gridwalk.sampler import grid_law, sample_logconcave_detailed, seed_and_generator
 from .hypergrad import approx_hypergradient
 from .inner import phi_solution_pair, solve_lower_level
 from .problem import AssumptionConstants, BilevelProblem, Dataset, derive_constants
@@ -158,12 +155,7 @@ def advanced_composition(
 
 def _constant_evaluator() -> Evaluator:
     """Flat score: the mechanism degenerates to uniform sampling."""
-    return Evaluator(
-        eval=lambda theta: 0.0,
-        zeta_bound=0.0,
-        alpha_lip=0.0,
-        eval_many=lambda thetas: np.zeros(len(thetas)),
-    )
+    return Evaluator(lambda thetas: np.zeros(len(thetas)), zeta_bound=0.0, alpha_lip=0.0)
 
 
 def _phi_evaluator(
@@ -176,20 +168,16 @@ def _phi_evaluator(
 ) -> Evaluator:
     """Evaluator for coeff * Phi_hat with scaled error at most zeta.
 
-    The batch path chains lower-level warm starts across consecutive
-    points — the certificate keeps every value within tolerance regardless,
-    and both the mechanism and the audit go through this same path, so the
-    scores they see are identical.
+    A batch chains lower-level warm starts across consecutive points — the
+    certificate keeps every value within tolerance regardless, and both the
+    mechanism and the audit go through this same path, so the scores they
+    see are identical.  A batch of one solves from the default start.
     """
     if coeff == 0.0:
         return _constant_evaluator()
     zeta_phi = zeta / coeff
 
-    def eval_one(x: np.ndarray) -> float:
-        value, _ = phi_solution_pair(p, Z, x, zeta_phi, a)
-        return coeff * value
-
-    def eval_many(X: np.ndarray) -> np.ndarray:
+    def evaluate_many(X: np.ndarray) -> np.ndarray:
         out = np.empty(len(X))
         warm = None
         for i, x in enumerate(X):
@@ -197,12 +185,7 @@ def _phi_evaluator(
             out[i] = coeff * value
         return out
 
-    return Evaluator(
-        eval=eval_one,
-        zeta_bound=zeta,
-        alpha_lip=L_lip2 * math.sqrt(p.d_x),
-        eval_many=eval_many,
-    )
+    return Evaluator(evaluate_many, zeta_bound=zeta, alpha_lip=L_lip2 * math.sqrt(p.d_x))
 
 
 def _grad_norm_evaluator(
@@ -218,28 +201,17 @@ def _grad_norm_evaluator(
     if coeff == 0.0:
         return _constant_evaluator()
 
-    def score(x: np.ndarray, warm):
-        res = solve_lower_level(p, Z, x, alpha_inner, a, warm_start=warm)
-        hg = approx_hypergradient(p, Z, x, res.y)
-        return coeff * float(np.linalg.norm(hg.vector)), res.y
-
-    def eval_one(x: np.ndarray) -> float:
-        value, _ = score(x, None)
-        return value
-
-    def eval_many(X: np.ndarray) -> np.ndarray:
+    def evaluate_many(X: np.ndarray) -> np.ndarray:
         out = np.empty(len(X))
         warm = None
         for i, x in enumerate(X):
-            out[i], warm = score(x, warm)
+            res = solve_lower_level(p, Z, x, alpha_inner, a, warm_start=warm)
+            warm = res.y
+            hg = approx_hypergradient(p, Z, x, warm)
+            out[i] = coeff * float(np.linalg.norm(hg.vector))
         return out
 
-    return Evaluator(
-        eval=eval_one,
-        zeta_bound=zeta,
-        alpha_lip=L_lip2 * math.sqrt(p.d_x),
-        eval_many=eval_many,
-    )
+    return Evaluator(evaluate_many, zeta_bound=zeta, alpha_lip=L_lip2 * math.sqrt(p.d_x))
 
 
 def _alpha_fallback(a: AssumptionConstants) -> float:
@@ -313,16 +285,10 @@ def _regularized_score(p, Z, a, eps, delta, mode, xi, k_reg) -> tuple[dict, Eval
         return params, _constant_evaluator()
     base = _phi_evaluator(p, Z, a, k, err, L2)
 
-    def regularizer(x):
-        return 0.5 * k * mu_reg * float(np.dot(x, x))
+    def evaluate_many(X: np.ndarray) -> np.ndarray:
+        return base.evaluate_many(X) + 0.5 * k * mu_reg * np.einsum("ij,ij->i", X, X)
 
-    return params, Evaluator(
-        eval=lambda x: base.eval(x) + regularizer(np.asarray(x, dtype=float)),
-        zeta_bound=err,
-        alpha_lip=base.alpha_lip,
-        eval_many=lambda X: base.evaluate_many(X)
-        + 0.5 * k * mu_reg * np.einsum("ij,ij->i", np.asarray(X, float), np.asarray(X, float)),
-    )
+    return params, Evaluator(evaluate_many, zeta_bound=err, alpha_lip=base.alpha_lip)
 
 
 def _sampler_release(p, Z, a, name, rng, force_walk, engine, **inputs) -> MechanismResult:
@@ -420,15 +386,14 @@ def mechanism_grid_law(
     delta: Optional[float] = None,
     mode: str = "erm",
     k_reg: float = K_REG,
-    cells_per_axis: Optional[int] = None,
-    grid: Optional[GridSpec] = None,
-) -> tuple[np.ndarray, GridSpec]:
+    *,
+    grid: GridSpec,
+) -> np.ndarray:
     """Exact output law of a mechanism discretized onto a grid.
 
     Builds the same cube-extended score the named mechanism samples from and
     returns the normalized Gibbs weights over the grid's cell centers — the
-    enumerable law the DP audits check ratios on.  Pass cells_per_axis (or a
-    prebuilt grid) to control the audit resolution.
+    enumerable law the DP audits check ratios on.
     """
     spec = MECHANISMS.get(mechanism)
     if spec is None or spec.score is None:
@@ -436,12 +401,7 @@ def mechanism_grid_law(
     given = {"eps": eps, "xi": xi, "delta": delta, "mode": mode, "k_reg": k_reg}
     params, evaluator = spec.score(
         p, Z, a, **{k: v for k, v in given.items() if k in spec.params})
-    ext = extend_to_cube(evaluator, p.domain_x, params["L_lip2"])
-    if grid is None:
-        if cells_per_axis is None:
-            raise ConfigurationError("pass cells_per_axis or a grid")
-        grid = grid_with_cells(p.domain_x, cells_per_axis)
-    return grid_law(ext, grid), grid
+    return grid_law(ExtendedEvaluator(evaluator, p.domain_x, params["L_lip2"]), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,12 @@ class Dataset:
         return self._cache[key]
 
 
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """Row l2 norms through the dot the point methods use, so they agree bit
+    for bit; np.linalg.norm(V, axis=1) sums squares and can differ in the last bit."""
+    return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
+
+
 @dataclass(frozen=True)
 class Domain:
     """A closed convex constraint set: a Euclidean ball or an axis-aligned box.
@@ -133,14 +139,15 @@ class Domain:
         return np.clip(x, self._low, self._high)
 
     def project_many(self, X: np.ndarray) -> np.ndarray:
+        """project on every row; rows already in the set come back unchanged."""
         X = np.asarray(X, dtype=float)
         if self.kind == "ball":
             V = X - self.center
-            r = np.linalg.norm(V, axis=1)
-            scale = np.ones_like(r)
+            r = _row_norms(V)
+            out = X.copy()
             outside = r > self.radius
-            scale[outside] = self.radius / r[outside]
-            return self.center + V * scale[:, None]
+            out[outside] = self.center + V[outside] * (self.radius / r[outside])[:, None]
+            return out
         return np.clip(X, self._low, self._high)
 
     def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
@@ -153,7 +160,16 @@ class Domain:
         return math.sqrt(v.dot(v))
 
     def distance_many(self, X: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(X - self.project_many(X), axis=1)
+        X = np.asarray(X, dtype=float)
+        return _row_norms(X - self.project_many(X))
+
+    def _box_ratios(self, V: np.ndarray) -> np.ndarray:
+        """|v| / half_widths along the last axis; a zero width gives 0 or inf."""
+        if self._widths_positive:
+            return np.abs(V) / self.half_widths
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.half_widths > 0, np.abs(V) / self.half_widths,
+                            np.where(V == 0, 0.0, math.inf))
 
     def gauge(self, x: np.ndarray) -> float:
         """Minkowski gauge of x - center w.r.t. the centered set (<= 1 inside)."""
@@ -162,25 +178,25 @@ class Domain:
             if self.radius == 0:
                 return 0.0 if not np.any(v) else math.inf
             return math.sqrt(v.dot(v)) / self.radius
-        if self._widths_positive:
-            ratios = np.abs(v) / self.half_widths
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(self.half_widths > 0, np.abs(v) / self.half_widths,
-                                  np.where(v == 0, 0.0, math.inf))
+        ratios = self._box_ratios(v)
         return float(ratios.max()) if ratios.size else 0.0
 
     def gauge_many(self, X: np.ndarray) -> np.ndarray:
-        V = X - self.center
+        V = np.asarray(X, dtype=float) - self.center
         if self.kind == "ball":
-            return np.linalg.norm(V, axis=1) / self.radius
-        return np.max(np.abs(V) / self.half_widths, axis=1)
+            if self.radius == 0:
+                return np.where(np.any(V, axis=1), math.inf, 0.0)
+            return _row_norms(V) / self.radius
+        return self._box_ratios(V).max(axis=1)
 
     def gauge_lip2(self) -> float:
         """l2-Lipschitz constant of the gauge function."""
-        if self.kind == "ball":
-            return 1.0 / float(self.radius)
-        return 1.0 / float(np.min(self.half_widths))
+        width = float(self.radius) if self.kind == "ball" else float(np.min(self.half_widths))
+        if width == 0.0:
+            raise ConfigurationError(
+                "the gauge of a zero-width domain is not Lipschitz: the samplers "
+                "need a positive radius and every half-width positive")
+        return 1.0 / width
 
     def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "ball":

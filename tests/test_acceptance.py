@@ -142,7 +142,7 @@ def test_01_pure_dp_exact_law_audit(hard1_audit):
             return mechanism_grid_law(
                 fx.problem, Z_, fx.constants, "exponential_mechanism",
                 eps, AUDIT_XI, grid=grid,
-            )[0]
+            )
 
         report = exact_dp_audit(law, Z, swaps, eps)
         assert report.passed
@@ -169,7 +169,7 @@ def test_02_approx_dp_hockey_stick_audit(hard1_audit):
                 fx.problem, Z_, fx.constants, "regularized_exp_mechanism",
                 eps, AUDIT_XI, delta=delta, mode="erm", k_reg=k_reg,
                 grid=grid,
-            )[0]
+            )
 
         good = exact_dp_audit(
             lambda Z_: law(Z_, K_REG), Z, swaps, eps, delta=delta)

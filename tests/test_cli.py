@@ -182,6 +182,16 @@ def test_failing_trials_are_rows_not_crashes(tmp_path):
     assert row["excess_risk"] == ""
 
 
+def test_zero_width_domain_row_names_the_configuration_error(tmp_path):
+    cfg = ExperimentConfig.from_dict(config_dict(
+        tmp_path,
+        instance={"name": "ridge", "params": {"feature_dim": 1, "x_half": 0.0}},
+        sweep={"n": [8]}, trials_per_cell=1))
+    row = cli.run_trial(cfg, 0, _cells(cfg)[0], 0)
+    assert row["error"].startswith("ConfigurationError: ")
+    assert "zero-width" in row["error"]
+
+
 # ---------------------------------------------------------------------------
 # the audit battery
 # ---------------------------------------------------------------------------

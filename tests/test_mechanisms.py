@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from dpbilevel.errors import ConfigurationError
+from dpbilevel.gridwalk.evaluator import ExtendedEvaluator
 from dpbilevel.instances import make_instance
 from dpbilevel.mechanisms import (
     K_REG,
+    MECHANISMS,
     MechanismResult,
     PrivacyBudget,
     advanced_composition,
@@ -142,6 +144,57 @@ def test_regularized_mechanism_validation(quad):
     with pytest.raises(ConfigurationError):
         regularized_exp_mechanism(fx.problem, Z, fx.constants,
                                   1.0, 1e-3, "map", 0.5, 0)
+
+
+@pytest.mark.parametrize("mechanism", [exponential_mechanism, grad_norm_exp_mechanism])
+def test_zero_width_domain_is_a_configuration_error(mechanism):
+    # the cube extension's gauge penalty has no finite Lipschitz constant on
+    # a set with a zero half-width
+    fx = make_instance("ridge", feature_dim=1, x_half=0.0)
+    Z = fx.sample_dataset(8, seed=0)
+    with pytest.raises(ConfigurationError, match="zero-width"):
+        mechanism(fx.problem, Z, fx.constants, eps=1.0, xi=0.5, rng=0)
+
+
+@pytest.mark.parametrize("instance,params", [
+    ("hard", {"d": 2}),                    # ball
+    ("quadratic", {"d_x": 2, "d_y": 2}),   # ball, off-axis curvature
+    ("ridge", {"feature_dim": 2}),         # box
+])
+def test_extension_point_and_batch_paths_agree(instance, params):
+    """ExtendedEvaluator.eval matches a batch of one on every sampler score.
+
+    The walk's lazy faults and the acceptance test score through eval,
+    enumeration through evaluate_many; the two must give the same value
+    inside the body and outside it.
+    """
+    fx = make_instance(instance, **params)
+    Z = fx.sample_dataset(12, seed=0)
+    dom = fx.problem.domain_x
+    rng = np.random.default_rng(5)
+    points = [dom.sample_uniform(rng) for _ in range(4)]
+    points += [dom.center + dom.inf_width * rng.uniform(-1.0, 1.0, dom.dim)
+               for _ in range(6)]
+    points.append(dom.center + dom.inf_width)
+    inside = [dom.contains(x) for x in points]
+    assert any(inside) and not all(inside)
+    given = {"eps": 1.0, "xi": 0.1, "delta": 1e-3, "mode": "erm"}
+    scores = 0
+    for spec in MECHANISMS.values():
+        if spec.score is None:
+            continue
+        # k_reg = 0 makes the regularized score the constant k = 0 score
+        for k_reg in ((K_REG, 0.0) if "k_reg" in spec.params else (K_REG,)):
+            inputs = {k: v for k, v in {**given, "k_reg": k_reg}.items()
+                      if k in spec.params}
+            ledger, evaluator = spec.score(fx.problem, Z, fx.constants, **inputs)
+            assert k_reg != 0.0 or ledger["k"] == 0.0
+            ext = ExtendedEvaluator(evaluator, dom, ledger["L_lip2"])
+            for x in points:
+                assert ext.eval(x) == pytest.approx(
+                    ext.evaluate_many(x[None])[0], rel=1e-12, abs=0.0)
+            scores += 1
+    assert scores == 4
 
 
 # ---------------------------------------------------------------------------

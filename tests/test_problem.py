@@ -1,6 +1,7 @@
 """Domains, datasets, declared constants, and the derived closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,11 +142,22 @@ def oracle_points(dom, rng):
 def test_domain_matches_per_call_formulas(name):
     dom = ORACLE_DOMAINS[name]
     assert dom.diameter == domain_diameter(dom)
-    for x in oracle_points(dom, np.random.default_rng(len(name))):
+    points = oracle_points(dom, np.random.default_rng(len(name)))
+    for x in points:
         assert dom.project(x).tobytes() == domain_project(dom, x).tobytes()
         assert dom.distance(x) == domain_distance(dom, x)
         assert dom.gauge(x) == domain_gauge(dom, x)
         assert type(dom.distance(x)) is float and type(dom.gauge(x)) is float
+    # the batch methods agree with the point methods row for row: in-body
+    # rows stay put, and zero widths get the same 0-or-inf guard
+    X = np.array(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = zip(points, dom.project_many(X), dom.distance_many(X), dom.gauge_many(X))
+    for x, proj, dist, gauge in rows:
+        assert proj.tobytes() == dom.project(x).tobytes()
+        assert dist == dom.distance(x)
+        assert gauge == dom.gauge(x)
 
 
 def test_unknown_domain_kind():

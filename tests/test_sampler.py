@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpbilevel.errors import ConfigurationError, SamplerFailure, SizeCapError
-from dpbilevel.gridwalk.evaluator import Evaluator
+from dpbilevel.gridwalk.evaluator import Evaluator, ExtendedEvaluator
 from dpbilevel.gridwalk.sampler import (
     ENUM_STATE_CAP,
     grid_law,
-    extend_to_cube,
     plan_sampler,
     sample_logconcave_detailed,
 )
@@ -29,19 +28,13 @@ def box(d, half=0.5):
 
 
 def abs_evaluator(scale, zeta=0.0, perturb=None):
-    def eval_one(theta):
-        f = scale * float(np.abs(theta).sum())
+    def evaluate_many(thetas):
+        f = scale * np.abs(thetas).sum(axis=1)
         if perturb is not None:
-            f += perturb(theta)
+            f = f + np.array([perturb(t) for t in thetas])
         return f
 
-    eval_many = None
-    if perturb is None:
-        def eval_many(thetas):
-            return scale * np.abs(thetas).sum(axis=1)
-
-    return Evaluator(eval=eval_one, zeta_bound=zeta, alpha_lip=scale,
-                     eval_many=eval_many)
+    return Evaluator(evaluate_many, zeta_bound=zeta, alpha_lip=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +129,20 @@ def test_extension_is_exact_on_the_body(seed):
     rng = np.random.default_rng(seed)
     domain = Domain("ball", np.zeros(2), radius=0.7)
     base = Evaluator(
-        eval=lambda t: float(t @ t + 0.3 * t[0]),
+        lambda ts: np.einsum("ij,ij->i", ts, ts) + 0.3 * ts[:, 0],
         zeta_bound=0.0,
         alpha_lip=2.0,
     )
-    ext = extend_to_cube(base, domain, L_lip2=2.0)
+    ext = ExtendedEvaluator(base, domain, L_lip2=2.0)
     theta = domain.sample_uniform(rng)
-    assert ext.eval(theta) == pytest.approx(base.eval(theta), abs=1e-12)
+    assert ext.eval(theta) == pytest.approx(
+        base.evaluate_many(theta[None])[0], abs=1e-12)
 
 
 def test_extension_penalizes_outside_points():
     domain = Domain("ball", np.zeros(2), radius=0.5)
-    base = Evaluator(eval=lambda t: 0.0, zeta_bound=0.0, alpha_lip=0.0)
-    ext = extend_to_cube(base, domain, L_lip2=1.0)
+    base = Evaluator(lambda ts: np.zeros(len(ts)), zeta_bound=0.0, alpha_lip=0.0)
+    ext = ExtendedEvaluator(base, domain, L_lip2=1.0)
     corner = np.array([0.5, 0.5])
     assert ext.eval(corner) > ext.eval(np.zeros(2))
 
@@ -162,7 +156,7 @@ def test_grid_law_is_softmax_of_negated_scores():
     from dpbilevel.gridwalk.grid import grid_with_cells
     grid = grid_with_cells(box(1), 12)
     scores = rng.normal(size=12)
-    ev = Evaluator(eval=lambda t: float(scores[grid.cell_of(t)]),
+    ev = Evaluator(lambda ts: scores[[grid.cell_of(t) for t in ts]],
                    zeta_bound=0.0, alpha_lip=10.0)
     law = grid_law(ev, grid)
     np.testing.assert_allclose(law, scipy.special.softmax(-scores), rtol=1e-12)
@@ -170,7 +164,7 @@ def test_grid_law_is_softmax_of_negated_scores():
 
 def test_flat_score_draws_uniformly():
     domain = box(1)
-    ev = Evaluator(eval=lambda t: 1.25, zeta_bound=0.0, alpha_lip=0.0)
+    ev = Evaluator(lambda ts: np.full(len(ts), 1.25), zeta_bound=0.0, alpha_lip=0.0)
     gen = np.random.default_rng(42)
     draws = np.array([
         sample_logconcave_detailed(ev, domain, L_lip2=0.0, xi=0.5, rng=gen).theta[0]
@@ -239,7 +233,7 @@ def test_walk_branch_matches_grid_law(engine):
     # the walk alone, scoring cells lazily as the sampler's walk branch does;
     # 1500 steps instead of the (deliberately conservative) budget: the
     # 30-cell chain mixes in far fewer, and this keeps the frequency test quick
-    ext = extend_to_cube(ev, domain, 3.0)
+    ext = ExtendedEvaluator(ev, domain, 3.0)
     grid = plan.grid
     gen = np.random.default_rng(11)
     cells = np.array([
@@ -255,9 +249,7 @@ def test_walk_branch_matches_grid_law(engine):
 
 def test_detail_fields_and_domain_membership():
     domain = Domain("ball", np.zeros(2), radius=0.5)
-    ev = Evaluator(eval=lambda t: float(np.abs(t).sum()),
-                   zeta_bound=0.0, alpha_lip=1.0,
-                   eval_many=lambda ts: np.abs(ts).sum(axis=1))
+    ev = Evaluator(lambda ts: np.abs(ts).sum(axis=1), zeta_bound=0.0, alpha_lip=1.0)
     gen = np.random.default_rng(5)
     for _ in range(50):
         detail = sample_logconcave_detailed(ev, domain, 1.0, 1.0, gen)
@@ -273,7 +265,7 @@ def test_restart_cap_exhaustion_raises():
     # test then rejects essentially every proposal.  The plan is pinned so
     # the spike's (untruthful) Lipschitz declaration stays in force.
     ev = Evaluator(
-        eval=lambda t: 0.0 if abs(float(t[0])) < 1e-12 else 80.0,
+        lambda ts: np.where(np.abs(ts[:, 0]) < 1e-12, 0.0, 80.0),
         zeta_bound=0.0, alpha_lip=0.5,
     )
     plan = plan_sampler(domain, 0.5, 0.5, 0.0)

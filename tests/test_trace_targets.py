@@ -9,7 +9,11 @@ catches that without running the benchmark.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from dpbilevel.gridwalk import engine, sampler
+from dpbilevel.gridwalk.evaluator import Evaluator, ExtendedEvaluator
+from dpbilevel.problem import Domain
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -33,3 +37,17 @@ def test_every_trace_target_resolves():
 def test_tracer_reads_restart_cap_and_engines():
     assert isinstance(sampler.RESTART_CAP, int) and sampler.RESTART_CAP > 0
     assert "python" in engine.available_engines()
+
+
+def test_point_score_does_not_build_a_table(monkeypatch):
+    # the tracer counts every ExtendedEvaluator.evaluate_many call as table
+    # rows and every eval call as one point score; eval must not route
+    # through evaluate_many or a point would count as both
+    def no_table(self, thetas):
+        raise AssertionError("ExtendedEvaluator.eval called evaluate_many")
+
+    monkeypatch.setattr(ExtendedEvaluator, "evaluate_many", no_table)
+    base = Evaluator(lambda ts: np.abs(ts).sum(axis=1), zeta_bound=0.0, alpha_lip=1.0)
+    ext = ExtendedEvaluator(base, Domain("ball", np.zeros(2), radius=0.5), 1.0)
+    assert ext.eval(np.array([0.1, -0.2])) == 0.1 + 0.2
+    assert ext.eval(np.array([1.0, 1.0])) > ext.eval(np.zeros(2))
