@@ -17,7 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from ..problem import Domain
+from ..problem import Domain, _row_norms
+
+#: rows ExtendedEvaluator.evaluate_many scores per base call; bounds the
+#: memory a batch's intermediate arrays take on large grids
+CHUNK_ROWS = 2**14
 
 
 @dataclass(frozen=True)
@@ -67,9 +71,14 @@ class ExtendedEvaluator:
         return val
 
     def evaluate_many(self, thetas: np.ndarray) -> np.ndarray:
+        """ext on every row, CHUNK_ROWS rows per base call; each row equals eval."""
         thetas = np.asarray(thetas, dtype=float)
-        proj = self.domain.project_many(thetas)
-        vals = self.base.evaluate_many(proj)
-        vals = vals + self.L_lip2 * np.linalg.norm(thetas - proj, axis=1)
-        vals = vals + self.alpha_gauge * np.maximum(self.domain.gauge_many(thetas) - 1.0, 0.0)
-        return vals
+        out = np.empty(len(thetas))
+        for start in range(0, len(thetas), CHUNK_ROWS):
+            chunk = thetas[start:start + CHUNK_ROWS]
+            proj = self.domain.project_many(chunk)
+            vals = self.base.evaluate_many(proj)
+            vals = vals + self.L_lip2 * _row_norms(chunk - proj)
+            out[start:start + len(chunk)] = (
+                vals + self.alpha_gauge * np.maximum(self.domain.gauge_many(chunk) - 1.0, 0.0))
+        return out

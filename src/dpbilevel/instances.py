@@ -14,7 +14,8 @@ Three fixtures with analytically known lower-level solutions:
 
 Each fixture bundles the problem callbacks, valid declared constants, the
 closed forms, and a seeded dataset sampler, so mechanisms can be checked
-against ground truth.
+against ground truth.  The callbacks broadcast over leading axes of x and y
+(see BilevelProblem); the closed forms take single points.
 """
 
 from __future__ import annotations
@@ -44,6 +45,16 @@ class InstanceFixture:
     sample_dataset: Callable[[int, int], Dataset]
     grad_phi: Optional[Callable[[np.ndarray, Dataset], np.ndarray]] = None
     params: Dict = field(default_factory=dict)
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v over the leading axes of v, one matrix-vector product per row.
+
+    A single v gives exactly A @ v, and each row of a batch rounds exactly
+    like it; a batch v @ A.T would take a matrix-matrix kernel that rounds
+    differently, and the lower-level gradient feeds the solver's certificate.
+    """
+    return np.matmul(A, v[..., None])[..., 0]
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
@@ -99,9 +110,9 @@ def make_hard_instance(
 
     problem = BilevelProblem(
         d_x=d, d_y=d,
-        f=lambda x, y, Z: -L_fy * float(np.dot(y, _zbar(Z))),
-        grad_f_x=lambda x, y, Z: np.zeros(d),
-        grad_f_y=lambda x, y, Z: -L_fy * _zbar(Z),
+        f=lambda x, y, Z: -L_fy * (y @ _zbar(Z)),
+        grad_f_x=lambda x, y, Z: np.zeros(np.shape(x)),
+        grad_f_y=lambda x, y, Z: np.zeros(np.shape(y)) - L_fy * _zbar(Z),
         grad_g_y=lambda x, y, Z: mu_g * (y - zeta * x),
         hess_g_xy=lambda x, y, Z: -mu_g * zeta * eye,
         hess_g_yy=lambda x, y, Z: mu_g * eye,
@@ -178,13 +189,16 @@ def make_quadratic_instance(d_x: int = 2, d_y: int = 2, seed: int = 0) -> Instan
             }
         return Z.cached("quad_means", build)
 
+    def f(x, y, Z):
+        m = means(Z)
+        return 0.5 * ((x * x).sum(axis=-1) - 2 * (x @ m["a"]) + m["a_sq"]) + y @ m["b"]
+
     problem = BilevelProblem(
         d_x=d_x, d_y=d_y,
-        f=lambda x, y, Z: 0.5 * (float(np.dot(x, x)) - 2 * float(np.dot(x, means(Z)["a"]))
-                                 + means(Z)["a_sq"]) + float(np.dot(means(Z)["b"], y)),
+        f=f,
         grad_f_x=lambda x, y, Z: x - means(Z)["a"],
-        grad_f_y=lambda x, y, Z: means(Z)["b"].copy(),
-        grad_g_y=lambda x, y, Z: y - M @ x - means(Z)["c"],
+        grad_f_y=lambda x, y, Z: np.zeros(np.shape(y)) + means(Z)["b"],
+        grad_g_y=lambda x, y, Z: y - _matvec(M, x) - means(Z)["c"],
         hess_g_xy=lambda x, y, Z: -M.T,
         hess_g_yy=lambda x, y, Z: eye_y,
         domain_x=domain_x, y_box=y_box,
@@ -295,16 +309,29 @@ def make_ridge_hyperparam_instance(
             }
         return Z.cached("ridge_stats", build)
 
+    eye = np.eye(k)
+
+    def f(x, y, Z):
+        st = stats(Z)
+        return 0.5 * ((y * _matvec(st["Uv"], y)).sum(axis=-1) - 2 * (y @ st["mv"])
+                      + st["vv_sq"])
+
+    def grad_f_y(x, y, Z):
+        st = stats(Z)
+        return _matvec(st["Uv"], y) - st["mv"]
+
+    def grad_g_y(x, y, Z):
+        st = stats(Z)
+        return _matvec(st["Ut"], y) - st["mt"] + weights(x) * y
+
     problem = BilevelProblem(
         d_x=k, d_y=k,
-        f=lambda x, y, Z: 0.5 * (float(y @ stats(Z)["Uv"] @ y)
-                                 - 2 * float(np.dot(stats(Z)["mv"], y))
-                                 + stats(Z)["vv_sq"]),
-        grad_f_x=lambda x, y, Z: np.zeros(k),
-        grad_f_y=lambda x, y, Z: stats(Z)["Uv"] @ y - stats(Z)["mv"],
-        grad_g_y=lambda x, y, Z: stats(Z)["Ut"] @ y - stats(Z)["mt"] + weights(x) * y,
-        hess_g_xy=lambda x, y, Z: np.diag(sig(x) * y),
-        hess_g_yy=lambda x, y, Z: stats(Z)["Ut"] + np.diag(weights(x)),
+        f=f,
+        grad_f_x=lambda x, y, Z: np.zeros(np.shape(x)),
+        grad_f_y=grad_f_y,
+        grad_g_y=grad_g_y,
+        hess_g_xy=lambda x, y, Z: (sig(x) * y)[..., None] * eye,
+        hess_g_yy=lambda x, y, Z: stats(Z)["Ut"] + weights(x)[..., None] * eye,
         domain_x=domain_x, y_box=y_box,
     )
 

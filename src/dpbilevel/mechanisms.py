@@ -48,7 +48,7 @@ from .gridwalk.grid import GridSpec
 from .gridwalk.sampler import grid_law, sample_logconcave_detailed, seed_and_generator
 from .hypergrad import approx_hypergradient
 from .inner import phi_solution_pair, solve_lower_level
-from .problem import AssumptionConstants, BilevelProblem, Dataset, derive_constants
+from .problem import AssumptionConstants, BilevelProblem, Dataset, _row_norms, derive_constants
 from .rng import derive_seed
 
 #: constant inside k = k_reg * mu_reg * n^2 eps^2 / (G^2 ln(1/delta))
@@ -168,22 +168,17 @@ def _phi_evaluator(
 ) -> Evaluator:
     """Evaluator for coeff * Phi_hat with scaled error at most zeta.
 
-    A batch chains lower-level warm starts across consecutive points — the
-    certificate keeps every value within tolerance regardless, and both the
-    mechanism and the audit go through this same path, so the scores they
-    see are identical.  A batch of one solves from the default start.
+    A batch is one lockstep lower-level solve with every row started from
+    y_box.center, so a point's score does not depend on the other points
+    scored with it.  Both the mechanism and the audit go through this same
+    path, so the scores they see are identical.
     """
     if coeff == 0.0:
         return _constant_evaluator()
     zeta_phi = zeta / coeff
 
     def evaluate_many(X: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X))
-        warm = None
-        for i, x in enumerate(X):
-            value, warm = phi_solution_pair(p, Z, x, zeta_phi, a, warm_start=warm)
-            out[i] = coeff * value
-        return out
+        return coeff * phi_solution_pair(p, Z, X, zeta_phi, a)[0]
 
     return Evaluator(evaluate_many, zeta_bound=zeta, alpha_lip=L_lip2 * math.sqrt(p.d_x))
 
@@ -197,19 +192,17 @@ def _grad_norm_evaluator(
     zeta: float,
     L_lip2: float,
 ) -> Evaluator:
-    """Evaluator for coeff * ||hypergradient at a tightly solved lower level||."""
+    """Evaluator for coeff * ||hypergradient at a tightly solved lower level||.
+
+    A batch is one lockstep solve from y_box.center and one stacked
+    hypergradient.
+    """
     if coeff == 0.0:
         return _constant_evaluator()
 
     def evaluate_many(X: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X))
-        warm = None
-        for i, x in enumerate(X):
-            res = solve_lower_level(p, Z, x, alpha_inner, a, warm_start=warm)
-            warm = res.y
-            hg = approx_hypergradient(p, Z, x, warm)
-            out[i] = coeff * float(np.linalg.norm(hg.vector))
-        return out
+        res = solve_lower_level(p, Z, X, alpha_inner, a)
+        return coeff * _row_norms(approx_hypergradient(p, Z, X, res.y).vector)
 
     return Evaluator(evaluate_many, zeta_bound=zeta, alpha_lip=L_lip2 * math.sqrt(p.d_x))
 

@@ -24,6 +24,9 @@ Matrix = np.ndarray
 #: additive slack used by probe_assumptions when comparing observed quantities
 #: against declared bounds
 PROBE_SLACK = 1e-6
+#: relative difference allowed between a stacked callback call and the
+#: per-point calls it replaces (different BLAS kernels round differently)
+BATCH_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -221,6 +224,13 @@ class BilevelProblem:
     callback on a one-record dataset, which is how
     :func:`probe_assumptions` checks the declared per-record constants
     against the code the mechanisms run.
+
+    Callbacks broadcast over leading axes: with x of shape (..., d_x) and y
+    of shape (..., d_y), ``f`` returns (...), the gradients (..., d) and the
+    Hessian blocks (..., d_x, d_y) and (..., d_y, d_y), or one constant
+    (d_x, d_y) / (d_y, d_y) matrix that broadcasts.  Score tables call them
+    on whole batches of points (:meth:`batch_call`); the descent mechanisms
+    call them on single points.
     """
 
     d_x: int
@@ -233,6 +243,29 @@ class BilevelProblem:
     hess_g_yy: Callable[[Vector, Vector, Dataset], Matrix]
     domain_x: Domain
     y_box: Domain
+
+    def __post_init__(self):
+        dx, dy = self.d_x, self.d_y
+        # each callback's value at one point, in the order probes report them
+        object.__setattr__(self, "_point_shapes", {
+            "f": (), "grad_f_x": (dx,), "grad_f_y": (dy,), "grad_g_y": (dy,),
+            "hess_g_xy": (dx, dy), "hess_g_yy": (dy, dy)})
+
+    def batch_call(self, name: str, x: np.ndarray, y: np.ndarray, Z: Dataset) -> np.ndarray:
+        """Callback ``name`` on a batch x (B, d_x), y (B, d_y), shape-checked.
+
+        The value must have shape (B, *s) for the callback's shape s at one
+        point, or s alone for a Hessian block that does not depend on the
+        point; anything else raises ConfigurationError naming the callback.
+        """
+        out = np.asarray(getattr(self, name)(x, y, Z), dtype=float)
+        shape = self._point_shapes[name]
+        if out.shape == (len(x),) + shape or (name.startswith("hess") and out.shape == shape):
+            return out
+        raise ConfigurationError(
+            f"callback {name} returned shape {out.shape} for a batch of {len(x)} "
+            f"points; expected {(len(x),) + shape}: callbacks must broadcast over "
+            "leading axes of x and y")
 
 
 @dataclass(frozen=True)
@@ -344,14 +377,15 @@ class ProbeReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def _record(self, name: str, observed: float, bound: float, witness) -> None:
+    def _record(self, name: str, observed: float, bound: float, witness,
+                slack: float = PROBE_SLACK) -> None:
         if bound > 0:
             ratio = observed / bound
         else:
-            ratio = 0.0 if observed <= PROBE_SLACK else math.inf
+            ratio = 0.0 if observed <= slack else math.inf
         if ratio > self.ratios.get(name, 0.0):
             self.ratios[name] = ratio
-        if observed > bound + PROBE_SLACK:
+        if observed > bound + slack:
             self.violations.append(
                 {"name": name, "observed": observed, "bound": bound, "witness": witness}
             )
@@ -371,15 +405,22 @@ def probe_assumptions(
     run.  Gradient-norm bounds are checked directly; smoothness and
     Hessian-Lipschitz bounds via difference quotients between paired points;
     strong convexity via the minimum eigenvalue of hess_g_yy averaged over
-    the whole dataset.
+    the whole dataset.  ``batch_consistency`` compares one stacked call of
+    each callback over the trial points (x, y) with the per-point calls, on
+    the whole dataset, to relative error BATCH_RTOL: a callback that does
+    not broadcast over leading axes fails it even where its result happens
+    to have the right shape.
     """
     rng = make_generator(rng_seed)
     report = ProbeReport(trials=trials)
+    xs, ys = [], []
     for _ in range(trials):
         x = p.domain_x.sample_uniform(rng)
         x2 = p.domain_x.sample_uniform(rng)
         y = p.y_box.sample_uniform(rng)
         y2 = p.y_box.sample_uniform(rng)
+        xs.append(x)
+        ys.append(y)
         i = int(rng.integers(dataset.n))
         z = Dataset(dataset.points[i:i + 1])
         witness = {"x": x.tolist(), "x2": x2.tolist(), "y": y.tolist(), "y2": y2.tolist(),
@@ -438,4 +479,25 @@ def probe_assumptions(
                 "C_gyy",
                 float(np.linalg.norm(p.hess_g_yy(x, y, z) - p.hess_g_yy(x, y2, z), 2)) / dy,
                 a.C_gyy, witness)
+    if trials:
+        _probe_batch_consistency(p, dataset, np.array(xs), np.array(ys), report)
     return report
+
+
+def _probe_batch_consistency(p, dataset, X, Y, report) -> None:
+    for name in p._point_shapes:
+        callback = getattr(p, name)
+        per_point = np.array([np.asarray(callback(x, y, dataset), dtype=float)
+                              for x, y in zip(X, Y)])
+        try:
+            stacked = np.broadcast_to(p.batch_call(name, X, Y, dataset), per_point.shape)
+        except (ValueError, TypeError, IndexError) as exc:  # ConfigurationError included
+            report._record("batch_consistency", math.inf, BATCH_RTOL,
+                           {"callback": name, "error": str(exc)}, slack=0.0)
+            continue
+        dev = float(np.max(np.abs(stacked - per_point)))
+        scale = float(np.max(np.abs(per_point)))
+        rel = dev / scale if scale > 0 else (0.0 if dev == 0 else math.inf)
+        if math.isnan(rel):
+            rel = math.inf
+        report._record("batch_consistency", rel, BATCH_RTOL, {"callback": name}, slack=0.0)

@@ -92,3 +92,19 @@ def domain_diameter(dom):
     if dom.kind == "ball":
         return 2.0 * float(dom.radius)
     return 2.0 * float(np.linalg.norm(dom.half_widths))
+
+
+def transition_matrix_loop(f_values, grid) -> np.ndarray:
+    """The lazy-Metropolis matrix by a loop over states and their neighbours.
+
+    The scalar definition chain.transition_matrix must reproduce bit for bit.
+    """
+    f = np.asarray(f_values, dtype=float)
+    n = grid.state_count
+    P = np.zeros((n, n))
+    base = 1.0 / (4.0 * grid.d)
+    for x in range(n):
+        for y in grid.neighbors(x):
+            P[x, y] = base * math.exp(min(0.0, f[x] - f[y]))
+        P[x, x] = 1.0 - P[x].sum()
+    return P

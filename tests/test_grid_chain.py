@@ -22,7 +22,7 @@ from dpbilevel.gridwalk.chain import (
 )
 from dpbilevel.gridwalk.grid import build_grid, grid_with_cells
 from dpbilevel.problem import Domain
-from oracles import grid_lipschitz
+from oracles import grid_lipschitz, transition_matrix_loop
 
 
 def box(d, half=0.5):
@@ -130,6 +130,16 @@ def test_detailed_balance_and_row_sums(seed, cells, d):
     np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
     flows = pi[:, None] * P
     np.testing.assert_allclose(flows, flows.T, atol=1e-10)
+
+
+@pytest.mark.parametrize("d, cells", [(1, 1), (1, 2), (1, 32), (2, 3), (2, 10), (3, 4), (3, 6)])
+def test_transition_matrix_equals_the_neighbour_loop(d, cells):
+    # 32, 10 and 6 cells per axis are the audit grids in d = 1, 2, 3
+    grid = grid_with_cells(box(d), cells)
+    rng = np.random.default_rng(100 * d + cells)
+    f = rng.normal(scale=3.0, size=grid.state_count)
+    f[rng.integers(grid.state_count)] = np.inf
+    np.testing.assert_array_equal(transition_matrix(f, grid), transition_matrix_loop(f, grid))
 
 
 def test_infinite_score_disconnects():

@@ -1,5 +1,7 @@
 """Lower-level solver certificates and the implicit gradient."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,125 @@ def test_non_finite_input_raises_value_error(where):
     p = fixed_problem(np.zeros(1), gy, np.ones((1, 2)), Hyy)
     with pytest.raises(ValueError, match="infs or NaNs"):
         approx_hypergradient(p, Dataset(np.zeros((1, 1))), np.zeros(1), np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# batches: one lockstep solve and one stacked hypergradient
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def hard():
+    fx = make_instance("hard", d=2)
+    return fx, fx.sample_dataset(16, seed=3)
+
+
+def random_batch(fx, rng, B):
+    return np.array([random_x(fx, rng) for _ in range(B)])
+
+
+@pytest.mark.parametrize("alpha", [1e-2, 1e-6, 1e-10])
+@pytest.mark.parametrize("case", ["hard", "quad", "ridge"])
+def test_batch_rows_equal_point_solves_from_the_centre(case, alpha, request):
+    fx, Z = request.getfixturevalue(case)
+    X = random_batch(fx, make_generator(30), 9)
+    batch = solve_lower_level(fx.problem, Z, X, alpha, fx.constants)
+    assert batch.y.shape == (9, fx.problem.d_y)
+    assert batch.certified_error.shape == (9,)
+    assert type(batch.iterations) is int
+    points = [solve_lower_level(fx.problem, Z, x, alpha, fx.constants) for x in X]
+    assert batch.iterations == sum(r.iterations for r in points)
+    for row, point in enumerate(points):
+        np.testing.assert_allclose(batch.y[row], point.y, rtol=0.0, atol=1e-12)
+        assert batch.certified_error[row] == point.certified_error
+        assert batch.certified_error[row] <= alpha
+
+
+def test_batch_of_one_matches_the_point_solve(ridge):
+    fx, Z = ridge
+    x = np.array([0.5, -1.0])
+    point = solve_lower_level(fx.problem, Z, x, 1e-9, fx.constants)
+    one = solve_lower_level(fx.problem, Z, x[None], 1e-9, fx.constants)
+    assert one.y.shape == (1, 2) and one.certified_error.shape == (1,)
+    assert one.y[0].tobytes() == point.y.tobytes()
+    assert one.certified_error[0] == point.certified_error
+    assert one.iterations == point.iterations
+
+
+def test_batch_nonconvergence_names_the_row(quad, monkeypatch):
+    fx, Z = quad
+    X = np.array([[0.3, -0.2], [0.9, 0.1], [0.1, 0.1]])
+    solved = solve_lower_level(fx.problem, Z, X[0], 1e-10, fx.constants).y
+    # row 0 starts at its own solution and certifies without a step; row 1
+    # starts at the centre and has no budget
+    warm = np.array([solved, fx.problem.y_box.center, solved])
+    monkeypatch.setattr(inner, "default_max_iters", lambda a, y_box, alpha: 0)
+    with pytest.raises(NonConvergenceError, match="row 1"):
+        solve_lower_level(fx.problem, Z, X, 1e-10, fx.constants, warm_start=warm)
+
+
+@pytest.mark.parametrize("case", ["hard", "quad", "ridge"])
+def test_stacked_hypergradient_equals_point_function(case, request):
+    fx, Z = request.getfixturevalue(case)
+    rng = make_generator(31)
+    X = random_batch(fx, rng, 7)
+    Y = np.array([fx.problem.y_box.sample_uniform(rng) for _ in X])
+    stack = approx_hypergradient(fx.problem, Z, X, Y)
+    assert stack.vector.shape == (7, fx.problem.d_x)
+    assert stack.linear_solve_residual.shape == (7,)
+    for x, y, vector, residual in zip(X, Y, stack.vector, stack.linear_solve_residual):
+        point = approx_hypergradient(fx.problem, Z, x, y)
+        np.testing.assert_allclose(vector, point.vector, rtol=1e-12, atol=1e-12)
+        assert residual <= 1e-12 * max(1.0, np.linalg.norm(point.vector)) + 1e-14
+
+
+def stacked_problem(Hyy, gy=None):
+    """Hypergradient inputs as fixed stacks, one row per batch point."""
+    B, d_y = Hyy.shape[:2]
+    gy = np.ones((B, d_y)) if gy is None else gy
+    return BilevelProblem(
+        d_x=1, d_y=d_y,
+        f=lambda x, y, Z: np.zeros(len(x)),
+        grad_f_x=lambda x, y, Z: np.zeros((len(x), 1)),
+        grad_f_y=lambda x, y, Z: gy,
+        grad_g_y=lambda x, y, Z: np.zeros_like(y),
+        hess_g_xy=lambda x, y, Z: np.ones((1, d_y)),
+        hess_g_yy=lambda x, y, Z: Hyy,
+        domain_x=Domain("ball", np.zeros(1), radius=1.0),
+        y_box=Domain("box", np.zeros(d_y), half_widths=np.ones(d_y)),
+    )
+
+
+def test_stacked_indefinite_row_is_named():
+    Hyy = np.stack([np.eye(2)] * 4)
+    Hyy[2] = [[1.0, 0.0], [0.0, -1e-3]]
+    p = stacked_problem(Hyy)
+    with pytest.raises(AssumptionViolationError, match="row 2"):
+        approx_hypergradient(p, Dataset(np.zeros((1, 1))), np.zeros((4, 1)), np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("where", ["hessian", "gradient"])
+def test_stacked_non_finite_input_raises_value_error(where):
+    Hyy, gy = np.stack([np.eye(2)] * 3), np.ones((3, 2))
+    if where == "hessian":
+        Hyy[1, 0, 1] = np.nan
+    else:
+        gy[2, 1] = np.inf
+    p = stacked_problem(Hyy, gy)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        approx_hypergradient(p, Dataset(np.zeros((1, 1))), np.zeros((3, 1)), np.zeros((3, 2)))
+
+
+def test_callback_that_does_not_broadcast_is_named(quad):
+    fx, Z = quad
+    grad_g_y = fx.problem.grad_g_y
+    # a per-point formula that drops the batch axis
+    flat = dataclasses.replace(fx.problem,
+                               grad_g_y=lambda x, y, Z_: grad_g_y(x, y, Z_).mean(axis=0))
+    X = random_batch(fx, make_generator(32), 3)
+    with pytest.raises(ConfigurationError, match="grad_g_y"):
+        solve_lower_level(flat, Z, X, 1e-6, fx.constants)
+    grad_f_x = fx.problem.grad_f_x
+    flat = dataclasses.replace(fx.problem,
+                               grad_f_x=lambda x, y, Z_: grad_f_x(x, y, Z_)[0])
+    with pytest.raises(ConfigurationError, match="grad_f_x"):
+        approx_hypergradient(flat, Z, X, np.zeros((3, fx.problem.d_y)))

@@ -13,7 +13,13 @@ from dpbilevel.instances import (
     make_packed_hard_dataset,
     sample_hard_dataset,
 )
-from dpbilevel.problem import probe_assumptions
+from dpbilevel.problem import (
+    AssumptionConstants,
+    BilevelProblem,
+    Dataset,
+    Domain,
+    probe_assumptions,
+)
 from oracles import finite_diff_phi_gradient
 
 CASES = [
@@ -109,6 +115,59 @@ def test_probe_checks_the_callbacks_mechanisms_run():
     doubled = dataclasses.replace(fx.problem,
                                   grad_f_y=lambda x, y, Z_: 2 * grad_f_y(x, y, Z_))
     assert "L_fy" in violated(probe_assumptions(doubled, fx.constants, Z, trials=60))
+
+
+#: constants loose enough that only batch_consistency can fail
+LOOSE = AssumptionConstants(
+    L_fx=100.0, L_fy=100.0, mu_g=1.0, L_gy=100.0, beta_fyy=100.0, beta_fxx=100.0,
+    beta_fxy=100.0, beta_gxy=100.0, beta_gyy=100.0, M_gxy=100.0, M_gyy=100.0,
+    C_gxy=100.0, C_gyy=100.0, D_x=2.0, D_y=8.0)
+
+
+def readme_problem(f, grad_g_y):
+    """The README's custom problem, with its f and grad_g_y swapped in."""
+    return BilevelProblem(
+        d_x=2, d_y=2,
+        f=f,
+        grad_f_x=lambda x, y, Z: np.zeros(np.shape(x)),
+        grad_f_y=lambda x, y, Z: y - Z.points[:, :2].mean(axis=0),
+        grad_g_y=grad_g_y or (lambda x, y, Z: y - x - Z.points[:, 2:].mean(axis=0)),
+        hess_g_xy=lambda x, y, Z: -np.eye(2),
+        hess_g_yy=lambda x, y, Z: np.eye(2),
+        domain_x=Domain("ball", np.zeros(2), radius=1.0),
+        y_box=Domain("box", np.zeros(2), half_widths=np.full(2, 2.0)),
+    )
+
+
+def broadcast_f(x, y, Z):
+    return 0.5 * np.mean(np.sum((y[..., None, :] - Z.points[:, :2]) ** 2, axis=-1), axis=-1)
+
+
+def pointwise_f(x, y, Z):
+    # subtracts the records from y: with a batch it pairs batch rows with
+    # records instead of averaging each row over all of them
+    return 0.5 * float(np.mean(np.sum((y - Z.points[:, :2]) ** 2, axis=1)))
+
+
+def first_axis_grad_g_y(x, y, Z):
+    # indexes coordinates along the first axis, which on a batch of two
+    # picks rows instead and still returns a (2, 2) result
+    c = Z.points[:, 2:].mean(axis=0)
+    return np.stack([y[0] - x[0] - c[0], y[1] - x[1] - c[1]])
+
+
+@pytest.mark.parametrize("f, grad_g_y, bad", [
+    (broadcast_f, None, None),
+    (pointwise_f, None, "f"),
+    (broadcast_f, first_axis_grad_g_y, "grad_g_y"),
+], ids=["broadcasting", "records_paired_with_rows", "right_shape_wrong_rows"])
+def test_probe_flags_callbacks_that_do_not_broadcast(f, grad_g_y, bad):
+    Z = Dataset(np.random.default_rng(3).uniform(-0.5, 0.5, size=(2, 4)))
+    p = readme_problem(f, grad_g_y)
+    report = probe_assumptions(p, LOOSE, Z, trials=2)
+    flagged = [v["witness"]["callback"] for v in report.violations
+               if v["name"] == "batch_consistency"]
+    assert flagged == ([] if bad is None else [bad])
 
 
 def test_datasets_are_deterministic_per_seed(case):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpbilevel.errors import ConfigurationError
+from dpbilevel.gridwalk.evaluator import ExtendedEvaluator
+from dpbilevel.mechanisms import _constant_evaluator
 from dpbilevel.problem import AssumptionConstants, Dataset, Domain, derive_constants
 from oracles import domain_diameter, domain_distance, domain_gauge, domain_project
 
@@ -158,6 +160,20 @@ def test_domain_matches_per_call_formulas(name):
         assert proj.tobytes() == dom.project(x).tobytes()
         assert dist == dom.distance(x)
         assert gauge == dom.gauge(x)
+
+
+@pytest.mark.parametrize("name", ["ball", "box"])
+def test_extension_point_and_batch_equal_bit_for_bit(name):
+    # the projection distance and the gauge of a batch row are taken with
+    # the same dot as the point path, inside the body and outside it
+    dom = ORACLE_DOMAINS[name]
+    ext = ExtendedEvaluator(_constant_evaluator(), dom, L_lip2=1.0)
+    points = [x for seed in range(4) for x in oracle_points(dom, np.random.default_rng(seed))]
+    inside = [dom.gauge(x) <= 1.0 for x in points]
+    assert any(inside) and not all(inside)
+    table = ext.evaluate_many(np.array(points))
+    for x, row in zip(points, table):
+        assert ext.eval(x) == ext.evaluate_many(x[None])[0] == row
 
 
 def test_unknown_domain_kind():

@@ -11,8 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from dpbilevel.gridwalk import engine, sampler
+from dpbilevel import mechanisms
+from dpbilevel.gridwalk import engine, evaluator, sampler
 from dpbilevel.gridwalk.evaluator import Evaluator, ExtendedEvaluator
+from dpbilevel.gridwalk.grid import grid_with_cells
+from dpbilevel.instances import make_instance
 from dpbilevel.problem import Domain
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -51,3 +54,34 @@ def test_point_score_does_not_build_a_table(monkeypatch):
     ext = ExtendedEvaluator(base, Domain("ball", np.zeros(2), radius=0.5), 1.0)
     assert ext.eval(np.array([0.1, -0.2])) == 0.1 + 0.2
     assert ext.eval(np.array([1.0, 1.0])) > ext.eval(np.zeros(2))
+
+
+def test_grad_norm_table_solves_once_per_chunk(monkeypatch):
+    # the tracer counts solves and hypergradients where mechanisms looks them
+    # up; a table build makes one of each per chunk of rows, and the solver's
+    # iteration count stays an int the tracer can add up
+    calls = {"solve": [], "hypergrad": 0}
+    solve, hypergrad = mechanisms.solve_lower_level, mechanisms.approx_hypergradient
+
+    def counted_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        calls["solve"].append(result.iterations)
+        return result
+
+    def counted_hypergrad(*args, **kwargs):
+        calls["hypergrad"] += 1
+        return hypergrad(*args, **kwargs)
+
+    monkeypatch.setattr(mechanisms, "solve_lower_level", counted_solve)
+    monkeypatch.setattr(mechanisms, "approx_hypergradient", counted_hypergrad)
+    monkeypatch.setattr(evaluator, "CHUNK_ROWS", 64)
+    fx = make_instance("ridge", feature_dim=2)
+    Z = fx.sample_dataset(16, seed=0)
+    params, score = mechanisms.MECHANISMS["grad_norm_exp_mechanism"].score(
+        fx.problem, Z, fx.constants, eps=1.0, xi=1.0)
+    grid = grid_with_cells(fx.problem.domain_x, 15)
+    table = ExtendedEvaluator(score, fx.problem.domain_x, params["L_lip2"]).evaluate_many(
+        grid.centers_all())
+    assert table.shape == (225,) and np.isfinite(table).all()
+    assert calls["hypergrad"] == len(calls["solve"]) == 4  # ceil(225 / 64)
+    assert all(type(steps) is int for steps in calls["solve"])
