@@ -11,7 +11,10 @@ These routines build the dense transition matrix, its stationary law,
 exact conductance by subset enumeration, the spectral gap on request,
 L-infinity mixing distances, and the closed-form mixing-time budget used by
 the sampler.  Everything here is for audit-scale chains; the actual sampler
-never materializes a matrix.
+never materializes a matrix.  Only the 2d-neighbour edges fill P off its
+diagonal, so exact_chain makes no dense pass besides building P: it reads
+reducibility off the edge list.  Conductance enumerates the subsets of each
+half of the states separately and sums only nonnegative cut flows.
 
 Mixing distances come from one of two paths.  The certified path bounds the
 distance by lambda*^t / pi_min (Levin, Peres & Wilmer, *Markov Chains and
@@ -62,21 +65,27 @@ def transition_matrix(f_values: np.ndarray, grid: GridSpec) -> np.ndarray:
     n = grid.state_count
     if f.shape != (n,):
         raise ValueError(f"need {n} scores, got shape {f.shape}")
-    m, d = grid.cells_per_axis, grid.d
+    src, dst = _grid_edges(grid)
+    diff = f[src] - f[dst]
+    expo = np.where(diff < 0.0, diff, 0.0).tolist()
+    P = np.zeros((n, n))
+    P[src, dst] = (1.0 / (4.0 * grid.d)) * np.fromiter(map(math.exp, expo), float, len(expo))
     flat = np.arange(n)
+    P[flat, flat] = 1.0 - P.sum(axis=1)
+    return P
+
+
+def _grid_edges(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) flat indices of every ordered pair of axis neighbours."""
+    m, d = grid.cells_per_axis, grid.d
+    flat = np.arange(grid.state_count)
     src, dst = [], []
     for stride in (m ** (d - 1 - axis) for axis in range(d)):
         coord = (flat // stride) % m
         for sgn, has in ((-1, coord > 0), (1, coord < m - 1)):
             src.append(flat[has])
             dst.append(flat[has] + sgn * stride)
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    diff = f[src] - f[dst]
-    expo = np.where(diff < 0.0, diff, 0.0).tolist()
-    P = np.zeros((n, n))
-    P[src, dst] = (1.0 / (4.0 * d)) * np.fromiter(map(math.exp, expo), float, len(expo))
-    P[flat, flat] = 1.0 - P.sum(axis=1)
-    return P
+    return np.concatenate(src), np.concatenate(dst)
 
 
 def stationary_from_scores(f_values: np.ndarray) -> np.ndarray:
@@ -128,13 +137,17 @@ def _symmetrized_lambda2(P: np.ndarray, pi: np.ndarray) -> tuple[float, float]:
 
     lambda_2 is the second-largest eigenvalue of (S + S^T)/2, from LAPACK's
     banded solver.  Its bands are read off P's diagonals out to P's
-    bandwidth: 1 on a 1-d grid, the cells per axis on a 2-d one.  skew is
-    max |S - S^T|, which is rounding-sized exactly when P is reversible with
-    respect to pi.
+    bandwidth: 1 on a 1-d grid, the cells per axis on a 2-d one.  The
+    bandwidth is found by counting: diagonals +-k are peeled off until they
+    hold all of P's off-diagonal nonzeros.  skew is max |S - S^T|, which is
+    rounding-sized exactly when P is reversible with respect to pi.
     """
     n = len(pi)
-    rows, cols = np.nonzero(P)
-    width = int(np.max(np.abs(rows - cols), initial=0))
+    rest = np.count_nonzero(P) - np.count_nonzero(np.diagonal(P))
+    width = 0
+    while rest:
+        width += 1
+        rest -= np.count_nonzero(np.diagonal(P, width)) + np.count_nonzero(np.diagonal(P, -width))
     root = np.sqrt(pi)
     bands = np.zeros((width + 1, n))
     skew = 0.0
@@ -213,8 +226,14 @@ def exact_chain(f_values: np.ndarray, grid: GridSpec) -> ChainAnalysis:
     f = np.asarray(f_values, dtype=float)
     P = transition_matrix(f, grid)
     pi = stationary_from_scores(f)
+    # P's only off-diagonal entries are on the grid edges, and self-loops do
+    # not change strong connectivity: the live edges decide reducibility
+    src, dst = _grid_edges(grid)
+    weights = P[src, dst]
+    live = weights > 0
+    graph = scipy.sparse.csr_matrix((weights[live], (src[live], dst[live])), shape=(n, n))
     ncomp, _ = scipy.sparse.csgraph.connected_components(
-        P > 0, directed=True, connection="strong")
+        graph, directed=True, connection="strong")
     reducible = ncomp > 1
     analysis = ChainAnalysis(
         grid=grid, f_values=f, transition=P, stationary=pi,
@@ -229,8 +248,13 @@ def exact_chain(f_values: np.ndarray, grid: GridSpec) -> ChainAnalysis:
 def conductance_exact(analysis: ChainAnalysis) -> float:
     """Exhaustive-minimum conductance over all subsets with mass in (0, 1/2].
 
-    Vectorized over all 2^n - 2 proper subsets; refuses above
-    CONDUCTANCE_STATE_CAP states.
+    The states split into halves A = [0, n//2) and B = [n//2, n); a subset S
+    is a pair (a, b) of subsets of A and B, laid out on a (2^|B|, 2^|A|)
+    table whose row-major flat index is S's bitmask.  Mass and outflow are
+    assembled from tables over each half: outflow is the flow leaving a
+    within A, leaving b within B, from a into B - b and from b into A - a,
+    every term nonnegative, so a tiny bottleneck flow keeps its relative
+    accuracy.  Refuses above CONDUCTANCE_STATE_CAP states.
     """
     n = analysis.grid.state_count
     if n > CONDUCTANCE_STATE_CAP:
@@ -239,17 +263,28 @@ def conductance_exact(analysis: ChainAnalysis) -> float:
             "use the Cheeger interval from the spectral gap instead"
         )
     pi = analysis.stationary
-    Q = pi[:, None] * analysis.transition  # flow matrix
-    count = 1 << n
-    ids = np.arange(1, count - 1, dtype=np.uint32)
-    masks = ((ids[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1).astype(float)
-    mass = masks @ pi
-    flow_out = masks @ Q.sum(axis=1) - np.einsum("ij,ij->i", masks @ Q, masks)
+    Q = pi[:, None] * analysis.transition  # flow matrix, entries >= 0
+    A, B = slice(0, n // 2), slice(n // 2, n)
+    in_a, in_b = _subset_table(n // 2), _subset_table(n - n // 2)
+    out_a, out_b = 1.0 - in_a, 1.0 - in_b
+    flow_out = (in_b @ Q[B, A]) @ out_a.T
+    flow_out += out_b @ (in_a @ Q[A, B]).T
+    flow_out += np.einsum("ij,ij->i", in_b @ Q[B, B], out_b)[:, None]
+    flow_out += np.einsum("ij,ij->i", in_a @ Q[A, A], out_a)[None, :]
+    mass = (in_b @ pi[B])[:, None] + (in_a @ pi[A])[None, :]
+    # drop the empty set (first entry) and the full set (last)
+    flow_out, mass = flow_out.ravel()[1:-1], mass.ravel()[1:-1]
     valid = (mass > 0) & (mass <= 0.5 + 1e-15)
     if not np.any(valid):
         return 1.0
     ratios = flow_out[valid] / mass[valid]
     return float(np.min(ratios))
+
+
+def _subset_table(k: int) -> np.ndarray:
+    """(2^k, k) 0/1 table whose row s holds the bits of s."""
+    ids = np.arange(1 << k)
+    return ((ids[:, None] >> np.arange(k)) & 1).astype(float)
 
 
 def mixing_time_bound(

@@ -383,7 +383,7 @@ class ProbeReport:
             ratio = observed / bound
         else:
             ratio = 0.0 if observed <= slack else math.inf
-        if ratio > self.ratios.get(name, 0.0):
+        if name not in self.ratios or ratio > self.ratios[name]:
             self.ratios[name] = ratio
         if observed > bound + slack:
             self.violations.append(

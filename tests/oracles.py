@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.csgraph
 
 from dpbilevel.errors import ConfigurationError
 from dpbilevel.inner import phi_solution_pair
@@ -108,3 +109,55 @@ def transition_matrix_loop(f_values, grid) -> np.ndarray:
             P[x, y] = base * math.exp(min(0.0, f[x] - f[y]))
         P[x, x] = 1.0 - P[x].sum()
     return P
+
+
+def cut_conductance(P, pi, grid) -> float:
+    """Exhaustive conductance from the flows of cut grid edges alone.
+
+    Vectorised over all 2^n - 2 proper subsets, one neighbour pair at a
+    time; every term added is nonnegative, so a tiny bottleneck flow keeps
+    its relative accuracy.  Same mass rule as chain.conductance_exact.
+    """
+    n = grid.state_count
+    ids = np.arange(1, (1 << n) - 1, dtype=np.int64)
+    inside = [((ids >> i) & 1).astype(bool) for i in range(n)]
+    mass = np.zeros(len(ids))
+    flow = np.zeros(len(ids))
+    for i in range(n):
+        mass += np.where(inside[i], pi[i], 0.0)
+        for j in grid.neighbors(i):
+            flow += np.where(inside[i] & ~inside[j], pi[i] * P[i, j], 0.0)
+    valid = (mass > 0) & (mass <= 0.5 + 1e-15)
+    if not np.any(valid):
+        return 1.0
+    return float(np.min(flow[valid] / mass[valid]))
+
+
+def dense_reducible(P) -> bool:
+    """Reducibility from strong components of the dense pattern P > 0."""
+    ncomp, _ = scipy.sparse.csgraph.connected_components(
+        P > 0, directed=True, connection="strong")
+    return ncomp > 1
+
+
+def symmetrized_lambda2_nonzero(P, pi):
+    """chain._symmetrized_lambda2 with the bandwidth from np.nonzero(P).
+
+    The bands, lambda_2 and skew the counted bandwidth must reproduce bit
+    for bit.
+    """
+    n = len(pi)
+    rows, cols = np.nonzero(P)
+    width = int(np.max(np.abs(rows - cols), initial=0))
+    root = np.sqrt(pi)
+    bands = np.zeros((width + 1, n))
+    skew = 0.0
+    for k in range(width + 1):
+        ratio = root[k:] / root[:n - k]
+        below = ratio * np.diagonal(P, -k)
+        above = np.diagonal(P, k) / ratio
+        bands[k, :n - k] = 0.5 * (below + above)
+        skew = max(skew, float(np.max(np.abs(below - above))))
+    lam2 = scipy.linalg.eig_banded(bands, lower=True, eigvals_only=True,
+                                   select="i", select_range=(n - 2, n - 2))
+    return float(lam2[0]), skew

@@ -1,6 +1,7 @@
 """Grid geometry and exact finite-chain analysis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dpbilevel.errors import ConfigurationError, SizeCapError
 from dpbilevel.gridwalk import chain
 from dpbilevel.gridwalk.chain import (
     CERTIFIED_FLOOR,
+    CONDUCTANCE_STATE_CAP,
     certified_mixing_steps,
     conductance_exact,
     dist_inf,
@@ -22,7 +24,13 @@ from dpbilevel.gridwalk.chain import (
 )
 from dpbilevel.gridwalk.grid import build_grid, grid_with_cells
 from dpbilevel.problem import Domain
-from oracles import grid_lipschitz, transition_matrix_loop
+from oracles import (
+    cut_conductance,
+    dense_reducible,
+    grid_lipschitz,
+    symmetrized_lambda2_nonzero,
+    transition_matrix_loop,
+)
 
 
 def box(d, half=0.5):
@@ -216,6 +224,96 @@ def test_conductance_cap():
     assert analysis.conductance_phi is None
     with pytest.raises(SizeCapError):
         conductance_exact(analysis)
+
+
+@pytest.mark.parametrize("d, cells, barrier, height", [
+    (1, 18, [8], 8.0),
+    (1, 16, [11], 9.0),
+    (2, 4, [4, 5, 6, 7], 9.0),
+], ids=["d1-18", "d1-16", "d2-4x4"])
+def test_conductance_keeps_relative_accuracy_at_a_bottleneck(d, cells, barrier, height):
+    # a score barrier leaves a cut whose flow is ~1e-5 of its mass; a
+    # difference of two O(mass) sums loses most of that flow's digits
+    grid = grid_with_cells(box(d), cells)
+    f = np.random.default_rng(cells).normal(scale=0.3, size=grid.state_count)
+    f[barrier] += height
+    analysis = exact_chain(f, grid)
+    expected = cut_conductance(analysis.transition, analysis.stationary, grid)
+    assert 1e-6 < expected < 1e-4
+    assert analysis.conductance_phi == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def _stepped_scores(grid, seed):
+    """Random scores with a 800-high step: uphill weights across it are 0.0."""
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=grid.state_count)
+    f[grid.state_count // 2:] += 800.0
+    return f
+
+
+@pytest.mark.parametrize("d, cells", [(1, 1), (1, 2), (1, 9), (2, 3), (2, 6), (3, 3)])
+def test_reducible_matches_the_dense_pattern(d, cells):
+    grid = grid_with_cells(box(d), cells)
+    rng = np.random.default_rng(10 * d + cells)
+    with_inf = rng.normal(size=grid.state_count)
+    with_inf[-1] = np.inf
+    cases = [rng.normal(size=grid.state_count), _stepped_scores(grid, cells), with_inf]
+    for f in cases[:1] if grid.state_count == 1 else cases:
+        analysis = exact_chain(f, grid)
+        assert analysis.reducible == dense_reducible(analysis.transition)
+    if grid.state_count > 1:
+        # the step is one-way: nothing climbs it, so the chain is reducible
+        assert exact_chain(cases[1], grid).reducible
+
+
+@pytest.mark.parametrize("d, cells", [(1, 2), (1, 40), (2, 3), (2, 9), (3, 4)])
+def test_counted_bandwidth_gives_the_same_lambda2(d, cells):
+    grid = grid_with_cells(box(d), cells)
+    rng = np.random.default_rng(d * cells)
+    for f in (rng.normal(size=grid.state_count) * 2.0, _stepped_scores(grid, cells)):
+        analysis = exact_chain(f, grid)
+        P, pi = analysis.transition, analysis.stationary
+        # past the step pi underflows to 0: restrict as cheeger_interval does
+        keep = pi > 0
+        P, pi = P[np.ix_(keep, keep)], pi[keep]
+        if len(pi) > 1:
+            assert chain._symmetrized_lambda2(P, pi) == symmetrized_lambda2_nonzero(P, pi)
+
+
+def test_counted_bandwidth_with_holes_inside_the_band():
+    # zero diagonal entries and zeros inside the outermost band
+    rng = np.random.default_rng(5)
+    n = 12
+    P = np.triu(np.tril(rng.uniform(size=(n, n)), 3), -3)
+    P[rng.uniform(size=(n, n)) < 0.4] = 0.0
+    P[0, 3] = 0.5
+    pi = rng.uniform(0.5, 1.0, size=n)
+    assert chain._symmetrized_lambda2(P, pi) == symmetrized_lambda2_nonzero(P, pi)
+    P[np.arange(n), np.arange(n)] = 0.0
+    P[0, 3] = P[3, 0] = 0.0
+    assert chain._symmetrized_lambda2(P, pi) == symmetrized_lambda2_nonzero(P, pi)
+
+
+def _traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_conductance_memory_at_the_cap():
+    grid = grid_with_cells(box(1), CONDUCTANCE_STATE_CAP)
+    analysis = exact_chain(np.random.default_rng(0).normal(size=grid.state_count), grid)
+    assert _traced_peak_mb(conductance_exact, analysis) < 16.0
+
+
+def test_exact_chain_memory_is_about_one_transition_matrix():
+    # P alone is 2048^2 * 8 bytes = 32 MB
+    grid = grid_with_cells(box(1), 2048)
+    f = np.random.default_rng(0).normal(size=grid.state_count)
+    assert _traced_peak_mb(exact_chain, f, grid) < 40.0
 
 
 # ---------------------------------------------------------------------------
