@@ -23,7 +23,6 @@ from .mechanisms import (
     K_REG,
     MechanismResult,
     PrivacyBudget,
-    advanced_composition,
     dp_second_order_gd,
     exponential_mechanism,
     gaussian_noise,
@@ -63,7 +62,6 @@ __all__ = [
     "PrivacyBudget",
     "SamplerFailure",
     "SizeCapError",
-    "advanced_composition",
     "approx_hypergradient",
     "derive_constants",
     "derive_seed",

@@ -19,13 +19,12 @@ Three families of checks, each a pure function returning an AuditReport:
 The sensitivity audits are lower bounds on the true sup (they enumerate a
 finite swap set); the DP and chain audits are exact on their discretized
 inputs, up to that certified bound.  Negative controls — deliberately
-broken constants — are expected to fail, and the test suite asserts that
-direction too.
+broken constants — are AuditReports with expected="fail", and the test
+suite asserts that direction too.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -48,44 +47,43 @@ from .problem import Dataset
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Outcome of one audit: worst case found, the bound it must respect."""
+    """One audit entry: the worst case found and the bound it must respect.
+
+    A positive audit expects to pass; a negative control (a deliberately
+    broken setting) has expected="fail".  passed is derived from worst_case
+    and bound, or None when vacuous holds the reason the entry could not be
+    run (its worst_case is then None).
+    """
 
     name: str
-    passed: bool
-    worst_case: float
+    worst_case: Optional[float]
     bound: float
     witness: dict
     trials: int
+    expected: str = "pass"
+    vacuous: Optional[str] = None
 
-    def __post_init__(self):
-        expected = self.worst_case <= self.bound * (1.0 + 1e-9)
-        if self.passed != expected:
-            raise ValueError(
-                f"inconsistent report: passed={self.passed} but "
-                f"worst_case={self.worst_case} vs bound={self.bound}"
-            )
+    @property
+    def passed(self) -> Optional[bool]:
+        if self.vacuous is not None:
+            return None
+        return bool(self.worst_case <= self.bound * (1.0 + 1e-9))
 
-    def to_json(self) -> str:
-        return json.dumps({
+    @property
+    def as_expected(self) -> bool:
+        return self.passed is (self.expected == "pass")
+
+    def as_dict(self) -> dict:
+        return {
             "name": self.name,
+            "expected": self.expected,
             "passed": self.passed,
             "worst_case": self.worst_case,
             "bound": self.bound,
+            "vacuous": self.vacuous,
             "witness": self.witness,
             "trials": self.trials,
-        })
-
-
-def _report(name: str, worst: float, bound: float, witness: dict,
-            trials: int) -> AuditReport:
-    return AuditReport(
-        name=name,
-        passed=bool(worst <= bound * (1.0 + 1e-9)),
-        worst_case=float(worst),
-        bound=float(bound),
-        witness=witness,
-        trials=trials,
-    )
+        }
 
 
 def empirical_sensitivity(
@@ -121,7 +119,7 @@ def empirical_sensitivity(
                     "candidate": np.asarray(candidate, dtype=float).tolist(),
                     "deviation": dev,
                 }
-    return _report(name, worst, bound, witness, trials)
+    return AuditReport(name, worst, float(bound), witness, trials)
 
 
 def _hockey_stick(p: np.ndarray, q: np.ndarray, eps: float) -> float:
@@ -178,7 +176,8 @@ def exact_dp_audit(
                 witness["state"] = state
     bound = eps if pure else delta
     audit_name = name or ("pure_dp_audit" if pure else "approx_dp_audit")
-    return _report(audit_name, worst, bound, witness, len(swaps))
+    return AuditReport(audit_name, float(worst), float(bound), witness,
+                       len(swaps))
 
 
 def verify_sampler_lemmas(
@@ -227,14 +226,14 @@ def verify_sampler_lemmas(
     floor = math.exp(-6.0 * zeta_max) * phi
     ratio = 0.0 if floor == 0.0 else (math.inf if phi_pert == 0.0
                                       else floor / phi_pert)
-    conductance_report = _report(
+    conductance_report = AuditReport(
         "conductance_degradation", ratio, 1.0,
         {"phi": phi, "phi_perturbed": phi_pert, "zeta_max": zeta_max},
         grid.state_count,
     )
 
     distance = dist_inf(perturbed.stationary, ideal.stationary)
-    distance_report = _report(
+    distance_report = AuditReport(
         "stationary_distance", distance, 2.0 * zeta_max,
         {"zeta_max": zeta_max}, grid.state_count,
     )
@@ -249,8 +248,8 @@ def verify_sampler_lemmas(
     )
     t_cert = certified_mixing_steps(
         perturbed.transition, perturbed.stationary, accuracy)
-    mixing_report = _report(
-        "mixing_time", mixing, accuracy,
+    mixing_report = AuditReport(
+        "mixing_time", mixing, float(accuracy),
         {"t": int(t), "t_cert": t_cert, "alpha_lip": float(alpha_lip),
          "accuracy": accuracy},
         grid.state_count,

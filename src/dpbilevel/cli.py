@@ -26,7 +26,7 @@ import json
 import math
 import multiprocessing
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -198,15 +198,6 @@ def _flatten_ledger(ledger: dict, prefix: str = "mech.") -> dict:
     return flat
 
 
-def _grad_norm(fixture: InstanceFixture, x: np.ndarray, Z) -> float:
-    if fixture.grad_phi is not None:
-        return float(np.linalg.norm(fixture.grad_phi(x, Z)))
-    a = fixture.constants
-    res = solve_lower_level(fixture.problem, Z, x, 1e-9 * max(1.0, a.D_y), a)
-    return float(np.linalg.norm(
-        approx_hypergradient(fixture.problem, Z, x, res.y).vector))
-
-
 def run_trial(config: ExperimentConfig, cell_index: int, cell: dict,
               trial: int) -> dict:
     """One (cell, trial) execution; exceptions become an error-tagged row."""
@@ -228,7 +219,7 @@ def run_trial(config: ExperimentConfig, cell_index: int, cell: dict,
         x_out = result.x_out
         if fixture.phi_star is not None:
             row["excess_risk"] = fixture.phi(x_out, Z) - fixture.phi_star(Z)
-        row["grad_norm"] = _grad_norm(fixture, x_out, Z)
+        row["grad_norm"] = float(np.linalg.norm(fixture.grad_phi(x_out, Z)))
         row.update(_flatten_ledger(result.ledger))
     except Exception as exc:  # noqa: BLE001 — trial failures must not kill the run
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -336,7 +327,7 @@ def _swap_phi_range(fixture: InstanceFixture, grid, Z, swaps) -> float:
 
 
 def _pure_dp_over_budget_control(fixture, grid, Z, swaps, eps, xi_audit,
-                                 law_factory) -> dict:
+                                 law_factory) -> AuditReport:
     """Negative control: the exponential law at a budget sized to break eps.
 
     Between Z and a swap Z', log p - log q is -coeff * (Phi_hat(x; Z) -
@@ -345,50 +336,50 @@ def _pure_dp_over_budget_control(fixture, grid, Z, swaps, eps, xi_audit,
     range is then at least coeff * r - 4 * zeta, with r the swap range of
     Phi, and dist_inf is at least half the range.  coeff = 4 (eps + zeta) / r
     thus gives a worst log-ratio of at least 2 eps; the exponential
-    mechanism runs at that coeff with budget 4 * s * coeff.  Where it cannot
-    be sized (r = 0, or a score tolerance below the solver's certificate
-    floor), the control is vacuous: "passed" is None and "vacuous" says why.
+    mechanism runs at that coeff with budget 4 * s * coeff, and the witness
+    records budget_factor = budget / eps.  Where it cannot be sized (r = 0,
+    or a score tolerance below the solver's certificate floor), the control
+    is vacuous: its reason is in "vacuous" and its verdict is None.
     """
     p, a = fixture.problem, fixture.constants
-    entry = {"name": "pure_dp_exponential_over_budget", "expected": "fail",
-             "passed": None, "worst_case": None, "bound": float(eps),
-             "budget_factor": None, "vacuous": None}
+    name = "pure_dp_exponential_over_budget"
+
+    def vacuous(reason: str) -> AuditReport:
+        return AuditReport(name, None, float(eps), {}, 0, expected="fail",
+                           vacuous=reason)
+
     r = _swap_phi_range(fixture, grid, Z, swaps)
     coeff = 4.0 * (eps + xi_audit) / r if r > 0 else 0.0
     budget = 4.0 * derive_constants(a, Z.n).s * coeff
     if not 0.0 < budget < math.inf:
-        entry["vacuous"] = (f"Phi's swap range on the audit grid is {r:.3g}: "
-                            "no finite budget breaks eps")
-        return entry
-    entry["budget_factor"] = budget / eps
+        return vacuous(f"Phi's swap range on the audit grid is {r:.3g}: "
+                       "no finite budget breaks eps")
     params, _ = MECHANISMS["exponential_mechanism"].score(
         p, Z, a, eps=budget, xi=xi_audit)
     if a.L_fy > 0:
         alpha = params["zeta"] / params["coeff"] / a.L_fy
         if alpha < certificate_floor(a):
-            entry["vacuous"] = (
+            return vacuous(
                 f"needs lower-level tolerance {alpha:.3g}, below the solver's "
                 f"certificate floor {certificate_floor(a):.3g}")
-            return entry
     try:
-        over = exact_dp_audit(law_factory(budget), Z, swaps, eps, 0.0,
-                              name=entry["name"])
+        over = exact_dp_audit(law_factory(budget), Z, swaps, eps, 0.0, name=name)
     except NonConvergenceError as exc:
-        entry["vacuous"] = f"law not certifiable: {exc}"
-        return entry
-    entry.update(passed=over.passed, worst_case=over.worst_case)
-    return entry
+        return vacuous(f"law not certifiable: {exc}")
+    return replace(over, expected="fail",
+                   witness=dict(over.witness, budget_factor=budget / eps))
 
 
 def run_audits(config: ExperimentConfig) -> dict:
     """Sensitivity, exact-DP, and sampler-lemma audits for the configured instance.
 
+    Every entry is an AuditReport; negative controls have expected="fail".
     Returns {"audits": [...], "negative_controls": [...], "skipped": [...],
-    "failed": bool}; "failed" is True iff a positive audit fails or a
-    negative control does not fail.  The pure-DP over-budget control is
-    sized from the drawn data so that it can fail (its entry records the
-    budget_factor used); one that cannot be sized is reported vacuous,
-    with its reason, and fails the battery.
+    "failed": bool}, the entries as dicts split by expected; "failed" is
+    True iff some entry's verdict is not the expected one.  The pure-DP
+    over-budget control is sized from the drawn data so that it can fail
+    (its witness records the budget_factor used); one that cannot be sized
+    is reported vacuous, with its reason, and fails the battery.
     """
     fixture = _build_fixture(config, {})
     p, a = fixture.problem, fixture.constants
@@ -404,7 +395,6 @@ def run_audits(config: ExperimentConfig) -> dict:
 
     reports: list[AuditReport] = []
     skipped: list[dict] = []
-    negative: list[dict] = []
 
     gen = make_generator(derive_seed(seed, "audit-x"))
     direction = gen.standard_normal(p.d_x)
@@ -460,7 +450,7 @@ def run_audits(config: ExperimentConfig) -> dict:
         # data so that its worst log-ratio is at least 2 eps (argued in
         # _pure_dp_over_budget_control).  A fixed 100x cannot fail on hard
         # for any n >= 12: its log-ratio is at most 50 / (2 + 4n).
-        negative.append(_pure_dp_over_budget_control(
+        reports.append(_pure_dp_over_budget_control(
             fixture, grid, Z, swaps, eps, xi_audit, exp_law_factory))
 
         def reg_law_factory(k_reg):
@@ -471,14 +461,9 @@ def run_audits(config: ExperimentConfig) -> dict:
         reports.append(exact_dp_audit(
             reg_law_factory(K_REG), Z, swaps, eps, delta_audit,
             name="approx_dp_regularized"))
-        broken = exact_dp_audit(
+        reports.append(replace(exact_dp_audit(
             reg_law_factory(K_REG * 100.0), Z, swaps, eps, delta_audit,
-            name="approx_dp_regularized_kreg_x100")
-        negative.append({
-            "name": broken.name, "expected": "fail",
-            "passed": broken.passed, "worst_case": broken.worst_case,
-            "bound": broken.bound,
-        })
+            name="approx_dp_regularized_kreg_x100"), expected="fail"))
 
     lemma_cells = {1: 16, 2: 4}.get(p.d_x)
     if lemma_cells is None:
@@ -502,22 +487,16 @@ def run_audits(config: ExperimentConfig) -> dict:
         z2[::2] *= -1.0
         understated = verify_sampler_lemmas(
             f2, z2, lemma_grid, accuracy=0.5)[1]
-        claimed_bound = 2.0 * zeta
-        negative.append({
-            "name": "stationary_distance_understated_zeta",
-            "expected": "fail",
-            "passed": bool(understated.worst_case <= claimed_bound * (1 + 1e-9)),
-            "worst_case": understated.worst_case,
-            "bound": claimed_bound,
-        })
+        reports.append(replace(
+            understated, name="stationary_distance_understated_zeta",
+            bound=2.0 * zeta, expected="fail"))
 
-    failed = any(not r.passed for r in reports) or any(
-        c["passed"] is not False for c in negative)
     return {
-        "audits": [json.loads(r.to_json()) for r in reports],
-        "negative_controls": negative,
+        "audits": [r.as_dict() for r in reports if r.expected == "pass"],
+        "negative_controls": [r.as_dict() for r in reports
+                              if r.expected == "fail"],
         "skipped": skipped,
-        "failed": failed,
+        "failed": not all(r.as_expected for r in reports),
     }
 
 
@@ -538,16 +517,16 @@ def _cmd_audit(args) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "audits.json").write_text(json.dumps(outcome, indent=2))
-    for report in outcome["audits"]:
-        print(f"{report['name']:45s} "
-              f"{'PASS' if report['passed'] else 'FAIL'}  "
-              f"worst={report['worst_case']:.6g} bound={report['bound']:.6g}")
-    for control in outcome["negative_controls"]:
-        if control.get("vacuous"):
-            verdict = f"VACUOUS  {control['vacuous']}"
+    for entry in outcome["audits"] + outcome["negative_controls"]:
+        if entry["vacuous"] is not None:
+            verdict = f"VACUOUS  {entry['vacuous']}"
         else:
-            verdict = "FAIL (expected)" if not control["passed"] else "PASS (BAD)"
-        print(f"{control['name']:45s} {verdict}")
+            verdict = "PASS" if entry["passed"] else "FAIL"
+            if entry["expected"] == "fail":
+                verdict += " (BAD)" if entry["passed"] else " (expected)"
+            verdict += (f"  worst={entry['worst_case']:.6g} "
+                        f"bound={entry['bound']:.6g}")
+        print(f"{entry['name']:45s} {verdict}")
     for skip in outcome["skipped"]:
         print(f"{skip['name']:45s} SKIP  {skip['reason']}")
     return 2 if outcome["failed"] else 0

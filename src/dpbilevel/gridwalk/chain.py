@@ -44,6 +44,9 @@ from .grid import EXACT_STATE_CAP, GridSpec
 K_MIX = 64
 #: states above which exhaustive conductance enumeration is refused
 CONDUCTANCE_STATE_CAP = 18
+#: states above which the exact mixing distance takes P^t through an
+#: eigendecomposition instead of repeated squaring
+SPECTRAL_STATE_THRESHOLD = 512
 #: largest mixing distance the certified path returns; the exact path's
 #: rounding floor lies around 1e-14 to 1e-11
 CERTIFIED_FLOOR = 1e-12
@@ -307,9 +310,7 @@ def mixing_time_bound(
     return max(1, int(math.ceil(K_MIX * math.exp(12.0 * zeta_bound) * core)))
 
 
-def linf_mixing_distance(
-    P: np.ndarray, pi: np.ndarray, t: int, spectral_threshold: int = 512
-) -> float:
+def linf_mixing_distance(P: np.ndarray, pi: np.ndarray, t: int) -> float:
     """max over start states of dist_inf(row of P^t, pi).
 
     The certified bound -log(1 - lambda*^t / pi_min) is tried first and
@@ -318,7 +319,7 @@ def linf_mixing_distance(
     path's rounding floor.  Otherwise the result is exact.  Small chains
     take P^t by binary powering with rows renormalized after every multiply
     to keep floating-point drift out of the log-ratio metric.  Above
-    spectral_threshold states, the power is taken through the
+    SPECTRAL_STATE_THRESHOLD states, the power is taken through the
     eigendecomposition of the pi-symmetrized kernel instead — the chain is
     reversible, so this is exact up to one dense solve — because repeated
     squaring at a large t costs dozens of dense multiplies.
@@ -326,7 +327,7 @@ def linf_mixing_distance(
     bound = _certified_distance(P, pi, t)
     if bound <= CERTIFIED_FLOOR:
         return bound
-    return _exact_distance(P, pi, t, spectral_threshold)
+    return _exact_distance(P, pi, t, SPECTRAL_STATE_THRESHOLD)
 
 
 def _exact_distance(

@@ -43,7 +43,7 @@ class InstanceFixture:
     x_star: Optional[Callable[[Dataset], np.ndarray]]
     phi_star: Optional[Callable[[Dataset], float]]
     sample_dataset: Callable[[int, int], Dataset]
-    grad_phi: Optional[Callable[[np.ndarray, Dataset], np.ndarray]] = None
+    grad_phi: Callable[[np.ndarray, Dataset], np.ndarray]
     params: Dict = field(default_factory=dict)
 
 

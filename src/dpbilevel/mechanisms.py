@@ -126,29 +126,6 @@ def gaussian_noise(v: np.ndarray, sigma: float, rng: RngLike) -> np.ndarray:
     return v + sigma * gen.standard_normal(v.shape)
 
 
-def advanced_composition(
-    eps_step: float, delta_step: float, T: int, delta_prime: float
-) -> PrivacyBudget:
-    """Total budget of T adaptive (eps_step, delta_step)-DP queries.
-
-    eps_total = sqrt(2 T ln(1/delta')) eps + T eps (e^eps - 1);
-    delta_total = T delta_step + delta_prime.
-    """
-    if T < 1:
-        raise ConfigurationError("T must be >= 1")
-    if eps_step <= 0:
-        raise ConfigurationError("eps_step must be positive")
-    if not (0.0 < delta_prime < 1.0):
-        raise ConfigurationError("delta_prime must lie in (0, 1)")
-    if not (0.0 <= delta_step < 1.0):
-        raise ConfigurationError("delta_step must lie in [0, 1)")
-    eps_total = (
-        math.sqrt(2.0 * T * math.log(1.0 / delta_prime)) * eps_step
-        + T * eps_step * math.expm1(eps_step)
-    )
-    return PrivacyBudget(eps_total, T * delta_step + delta_prime)
-
-
 # ---------------------------------------------------------------------------
 # score evaluators shared by the mechanisms and their exact-law audits
 # ---------------------------------------------------------------------------

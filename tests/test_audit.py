@@ -28,20 +28,31 @@ def box(d, half=0.5):
 # the report type
 # ---------------------------------------------------------------------------
 
-def test_report_rejects_inconsistent_verdict():
-    with pytest.raises(ValueError):
-        AuditReport(name="x", passed=True, worst_case=2.0, bound=1.0,
-                    witness={}, trials=1)
-    with pytest.raises(ValueError):
-        AuditReport(name="x", passed=False, worst_case=0.5, bound=1.0,
-                    witness={}, trials=1)
+def test_report_verdict_follows_worst_case():
+    def report(worst, **kw):
+        return AuditReport("x", worst, 1.0, {}, 1, **kw)
+
+    # a relative slack of 1e-9 on the bound, and no more
+    assert report(1.0 + 0.5e-9).passed is True
+    assert report(1.0 + 2e-9).passed is False
+    assert report(math.inf).passed is False
+    assert report(0.5).as_expected and not report(2.0).as_expected
+    # a control is as expected when it fails
+    assert report(2.0, expected="fail").as_expected
+    assert not report(0.5, expected="fail").as_expected
+    # a vacuous entry has no verdict, so it is never as expected
+    vacuous = report(None, expected="fail", vacuous="no finite budget")
+    assert vacuous.passed is None and not vacuous.as_expected
+    assert report(None, vacuous="not run").as_expected is False
 
 
 def test_report_json_is_parseable():
-    rep = AuditReport(name="x", passed=True, worst_case=0.5, bound=1.0,
+    rep = AuditReport(name="x", worst_case=0.5, bound=1.0,
                       witness={"k": 3}, trials=7)
-    blob = json.loads(rep.to_json())
-    assert blob["name"] == "x" and blob["witness"] == {"k": 3}
+    blob = json.loads(json.dumps(rep.as_dict()))
+    assert blob == {"name": "x", "expected": "pass", "passed": True,
+                    "worst_case": 0.5, "bound": 1.0, "vacuous": None,
+                    "witness": {"k": 3}, "trials": 7}
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +115,7 @@ def test_pure_dp_audit_frozen_log_ratio():
     rep = exact_dp_audit(toy_law, toy_dataset(), swaps, eps=0.6)
     assert rep.name == "pure_dp_audit"
     # max |log ratio| = log(0.5/0.3)
-    assert rep.worst_case == pytest.approx(math.log(0.5 / 0.3), rel=1e-12)
+    assert rep.worst_case == pytest.approx(math.log(0.5 / 0.3), rel=1e-12, abs=0.0)
     assert rep.passed
     assert rep.witness["state"] == 1
 
@@ -118,7 +129,7 @@ def test_approx_dp_audit_frozen_hockey_stick():
     assert rep.name == "approx_dp_audit"
     # the reverse direction dominates: 0.5 - e^0.1 * 0.3
     expected = 0.5 - math.exp(0.1) * 0.3
-    assert rep.worst_case == pytest.approx(expected, rel=1e-12)
+    assert rep.worst_case == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert rep.passed
     fail = exact_dp_audit(toy_law, toy_dataset(), swaps, eps=0.1, delta=0.1)
     assert not fail.passed
@@ -227,7 +238,7 @@ def test_mixing_report_states_certified_steps():
     P, pi = perturbed.transition, perturbed.stationary
     assert chain._certified_distance(P, pi, t_cert) <= 0.1
     assert chain._certified_distance(P, pi, t_cert - 1) > 0.1
-    assert json.loads(mixing.to_json())["witness"]["t_cert"] == t_cert
+    assert json.loads(json.dumps(mixing.as_dict()))["witness"]["t_cert"] == t_cert
 
 
 def test_lemmas_compute_each_conductance_once(monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dpbilevel import cli
+from dpbilevel.audit import AuditReport
 from dpbilevel.cli import (
     _DIM_PARAM,
     ExperimentConfig,
@@ -230,7 +231,8 @@ def test_pure_dp_over_budget_control_fails(tmp_path, instance, d, n):
     assert control["passed"] is False, control
     assert control["vacuous"] is None
     assert control["worst_case"] >= 2.0 * control["bound"], control
-    assert np.isfinite(control["budget_factor"]) and control["budget_factor"] > 1.0
+    factor = control["witness"]["budget_factor"]
+    assert np.isfinite(factor) and factor > 1.0
 
 
 @pytest.mark.parametrize("patch,reason", [
@@ -248,6 +250,31 @@ def test_unsizable_control_is_vacuous_and_fails_battery(
     assert outcome["failed"] is True
     assert main(["audit", write_config(tmp_path, raw)]) == 2
     assert "VACUOUS" in capsys.readouterr().out
+
+
+def test_control_that_passes_fails_the_battery(tmp_path, monkeypatch, capsys):
+    real = cli.exact_dp_audit
+
+    def broken_control_passes(law, Z, swaps, eps, delta=0.0, name=None):
+        if name == "approx_dp_regularized_kreg_x100":
+            return AuditReport(name, 0.0, delta, {}, len(swaps))
+        return real(law, Z, swaps, eps, delta, name=name)
+
+    monkeypatch.setattr(cli, "exact_dp_audit", broken_control_passes)
+    raw = config_dict(tmp_path / "out", sweep={"n": [12]}, trials_per_cell=1)
+    outcome = run_audits(ExperimentConfig.from_dict(raw))
+    (control,) = [c for c in outcome["negative_controls"]
+                  if c["name"] == "approx_dp_regularized_kreg_x100"]
+    report = AuditReport(**{k: control[k] for k in (
+        "name", "worst_case", "bound", "witness", "trials", "expected",
+        "vacuous")})
+    assert report.expected == "fail" and report.passed is True
+    assert not report.as_expected
+    assert all(r["passed"] for r in outcome["audits"])
+    assert outcome["failed"] is True
+    assert main(["audit", write_config(tmp_path, raw)]) == 2
+    out = capsys.readouterr().out
+    assert "approx_dp_regularized_kreg_x100" in out and "PASS (BAD)" in out
 
 
 # ---------------------------------------------------------------------------

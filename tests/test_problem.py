@@ -33,7 +33,7 @@ def all_ones(**overrides):
 
 def test_derived_constants_all_ones_n10():
     der = derive_constants(all_ones(), n=10)
-    assert der.s == pytest.approx(4.4, rel=1e-15)
+    assert der.s == pytest.approx(4.4, rel=1e-15, abs=0.0)
     assert der.L_bar == 2.0
     assert der.C == 4.0
     assert der.K == 18.0
@@ -45,8 +45,9 @@ def test_derived_constants_all_ones_n10():
 def test_derived_constants_mu2_small_domains():
     a = all_ones(mu_g=2.0, D_x=0.5, D_y=0.5)
     der = derive_constants(a, n=4)
-    assert der.s == pytest.approx(0.5 * (0.5 + 0.5) + 4.0 * 1.0 / 2.0, rel=1e-15)
-    assert der.s == pytest.approx(2.5, rel=1e-15)
+    assert der.s == pytest.approx(0.5 * (0.5 + 0.5) + 4.0 * 1.0 / 2.0,
+                                  rel=1e-15, abs=0.0)
+    assert der.s == pytest.approx(2.5, rel=1e-15, abs=0.0)
 
 
 def test_derive_constants_rejects_bad_n():
@@ -61,12 +62,12 @@ def test_scale_covariance(c):
     # G is degree-1 in (L_fx, L_fy, L_gy) jointly
     base = derive_constants(all_ones(), n=7)
     f_scaled = derive_constants(all_ones(L_fx=c, L_fy=c), n=7)
-    assert f_scaled.s == pytest.approx(c * base.s, rel=1e-12)
-    assert f_scaled.L_bar == pytest.approx(c * base.L_bar, rel=1e-12)
-    assert f_scaled.Psi == pytest.approx(c * base.Psi, rel=1e-12)
+    assert f_scaled.s == pytest.approx(c * base.s, rel=1e-12, abs=0.0)
+    assert f_scaled.L_bar == pytest.approx(c * base.L_bar, rel=1e-12, abs=0.0)
+    assert f_scaled.Psi == pytest.approx(c * base.Psi, rel=1e-12, abs=0.0)
     all_scaled = derive_constants(
         all_ones(L_fx=c, L_fy=c, L_gy=c, D_y=min(1.0, c)), n=7)
-    assert all_scaled.G == pytest.approx(c * base.G, rel=1e-12)
+    assert all_scaled.G == pytest.approx(c * base.G, rel=1e-12, abs=0.0)
 
 
 def test_assumption_constants_validation():
