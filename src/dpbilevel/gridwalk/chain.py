@@ -25,11 +25,19 @@ the reversible chain the scores define, i.e. for P in detailed balance with
 pi up to rounding; any other input is declined.  Otherwise the exact path
 takes P^t by matrix powers or one dense eigendecomposition, and stays the
 oracle the certified path is tested against.
+
+lambda_2 does not depend on t, and callers ask about one chain at several
+step counts and accuracies, so the last few solves are memoized on a digest
+of the bands, the solver's whole input: a repeat query on the same chain
+returns the bits a fresh solve would, without solving.  Everything else
+(the reversibility check, min diag P, pi_min) is recomputed on every call.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -54,6 +62,12 @@ CERTIFIED_FLOOR = 1e-12
 #: LAPACK estimate of lambda_2; it covers rounding in P, pi and the banded
 #: eigensolve, which turns that estimate into a certificate
 MARGIN_FACTOR = 8
+#: distinct chains whose lambda_2 is remembered, oldest evicted first
+_LAMBDA2_MEMO_SIZE = 8
+
+# (bands.shape, blake2b digest of the bands) -> lambda_2, in insertion order
+_lambda2_memo: dict[tuple, float] = {}
+_lambda2_lock = threading.Lock()
 
 
 def transition_matrix(f_values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -125,7 +139,7 @@ class ChainAnalysis:
         """(gap/2, sqrt(2*gap)) bracket for the conductance.
 
         The spectral gap, 1 - lambda_2 on the stationary law's support, takes
-        one banded eigensolve, run on each call.
+        one banded eigensolve, shared with any mixing query on the same chain.
         """
         P, pi = self.transition, self.stationary
         support = pi > 0
@@ -160,9 +174,30 @@ def _symmetrized_lambda2(P: np.ndarray, pi: np.ndarray) -> tuple[float, float]:
         above = np.diagonal(P, k) / ratio  # S[j, j+k]
         bands[k, :n - k] = 0.5 * (below + above)
         skew = max(skew, float(np.max(np.abs(below - above))))
-    lam2 = scipy.linalg.eig_banded(bands, lower=True, eigvals_only=True,
-                                   select="i", select_range=(n - 2, n - 2))
-    return float(lam2[0]), skew
+    return _banded_lambda2(bands), skew
+
+
+def _banded_lambda2(bands: np.ndarray) -> float:
+    """Second-largest eigenvalue of the symmetric matrix with lower bands.
+
+    Memoized on the bands' shape and a 256-bit blake2b digest of their
+    bytes, which is all eig_banded reads, so a hit is bit-equal to a fresh
+    solve.  The memo keeps _LAMBDA2_MEMO_SIZE chains; two threads that miss
+    on one chain at once both solve it and store the same value.
+    """
+    key = (bands.shape, hashlib.blake2b(bands.tobytes(), digest_size=32).digest())
+    with _lambda2_lock:
+        lam2 = _lambda2_memo.get(key)
+    if lam2 is None:
+        n = bands.shape[1]
+        lam2 = float(scipy.linalg.eig_banded(
+            bands, lower=True, eigvals_only=True,
+            select="i", select_range=(n - 2, n - 2))[0])
+        with _lambda2_lock:
+            _lambda2_memo[key] = lam2
+            while len(_lambda2_memo) > _LAMBDA2_MEMO_SIZE:
+                del _lambda2_memo[next(iter(_lambda2_memo))]
+    return lam2
 
 
 def _lambda_star(P: np.ndarray, pi: np.ndarray) -> float:
@@ -316,9 +351,11 @@ def linf_mixing_distance(P: np.ndarray, pi: np.ndarray, t: int) -> float:
     The certified bound -log(1 - lambda*^t / pi_min) is tried first and
     returned when it is at most CERTIFIED_FLOOR: an upper bound on the
     distance of the reversible chain P and pi describe, within the exact
-    path's rounding floor.  Otherwise the result is exact.  Small chains
-    take P^t by binary powering with rows renormalized after every multiply
-    to keep floating-point drift out of the log-ratio metric.  Above
+    path's rounding floor.  lambda* does not depend on t, and its banded
+    eigensolve is memoized, so asking the same P and pi at several t solves
+    once.  Otherwise the result is exact.  Small chains take P^t by binary
+    powering with rows renormalized after every multiply to keep
+    floating-point drift out of the log-ratio metric.  Above
     SPECTRAL_STATE_THRESHOLD states, the power is taken through the
     eigendecomposition of the pi-symmetrized kernel instead — the chain is
     reversible, so this is exact up to one dense solve — because repeated

@@ -2,8 +2,16 @@
 
 The tests in test_acceptance.py each certify one end-to-end contract.  This
 hook prints a compact one-line verdict per acceptance check after the run,
-so the full verdict list is visible without rerunning under -v.
+so the full verdict list is visible without rerunning under -v.  The
+eig_banded_calls fixture counts banded eigensolves for the tests of the
+chain module's lambda_2 memo.
 """
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from dpbilevel.gridwalk import chain
 
 _PRECEDENCE = {"ERROR": 3, "FAIL": 2, "SKIP": 1, "PASS": 0}
 
@@ -25,3 +33,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name in sorted(verdicts):
         title = name.removeprefix("test_").replace("_", " ")
         terminalreporter.write_line(f"{verdicts[name]:<5} {title}")
+
+
+@pytest.fixture
+def eig_banded_calls(monkeypatch):
+    """Clear chain's lambda_2 memo and record every banded eigensolve.
+
+    Yields a list that gains the bands' shape on each scipy.linalg.eig_banded
+    call, whoever makes it; the memo persists across tests, so it is cleared
+    before and after.
+    """
+    calls = []
+    solve = scipy.linalg.eig_banded
+
+    def counted(bands, *args, **kwargs):
+        calls.append(np.shape(bands))
+        return solve(bands, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", counted)
+    chain._lambda2_memo.clear()
+    yield calls
+    chain._lambda2_memo.clear()

@@ -140,12 +140,8 @@ def dense_reducible(P) -> bool:
     return ncomp > 1
 
 
-def symmetrized_lambda2_nonzero(P, pi):
-    """chain._symmetrized_lambda2 with the bandwidth from np.nonzero(P).
-
-    The bands, lambda_2 and skew the counted bandwidth must reproduce bit
-    for bit.
-    """
+def symmetrized_bands_nonzero(P, pi):
+    """(bands, skew) of chain._symmetrized_lambda2, bandwidth from np.nonzero(P)."""
     n = len(pi)
     rows, cols = np.nonzero(P)
     width = int(np.max(np.abs(rows - cols), initial=0))
@@ -158,6 +154,17 @@ def symmetrized_lambda2_nonzero(P, pi):
         above = np.diagonal(P, k) / ratio
         bands[k, :n - k] = 0.5 * (below + above)
         skew = max(skew, float(np.max(np.abs(below - above))))
+    return bands, skew
+
+
+def symmetrized_lambda2_nonzero(P, pi):
+    """chain._symmetrized_lambda2 from a fresh, unmemoized banded solve.
+
+    The bands, lambda_2 and skew the counted bandwidth must reproduce bit
+    for bit.
+    """
+    bands, skew = symmetrized_bands_nonzero(P, pi)
+    n = len(pi)
     lam2 = scipy.linalg.eig_banded(bands, lower=True, eigvals_only=True,
                                    select="i", select_range=(n - 2, n - 2))
     return float(lam2[0]), skew

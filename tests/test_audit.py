@@ -177,6 +177,16 @@ def test_lemmas_hold_under_alternating_perturbation():
     assert reports[1].bound == pytest.approx(0.1)
 
 
+def test_lemma_check_solves_the_perturbed_chain_once(eig_banded_calls):
+    # the mixing distance and t_cert both need the perturbed chain's lambda*
+    grid = grid_with_cells(box(1), 12)
+    f = np.linspace(0.0, 1.0, 12)
+    zeta = 0.02 * np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    mixing = verify_sampler_lemmas(f, zeta, grid, accuracy=0.2)[2]
+    assert mixing.passed and mixing.witness["t_cert"] is not None
+    assert eig_banded_calls == [(2, 12)]
+
+
 def test_stationary_distance_witness_is_tight():
     # nearly all mass on one cell: the normalizer absorbs that cell's shift
     # and the light cell pays both shifts, meeting the bound exactly

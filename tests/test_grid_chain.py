@@ -1,7 +1,10 @@
 """Grid geometry and exact finite-chain analysis."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from oracles import (
     cut_conductance,
     dense_reducible,
     grid_lipschitz,
+    symmetrized_bands_nonzero,
     symmetrized_lambda2_nonzero,
     transition_matrix_loop,
 )
@@ -463,3 +467,129 @@ def test_mixing_budget_monotonicity():
     assert mixing_time_bound(2.0, 1.0, 2, 0.1, 0.3) > base
     assert mixing_time_bound(4.0, 1.0, 2, 0.1, 0.0) > base
     assert mixing_time_bound(2.0, 1.0, 2, 0.1, 0.0) >= 1
+
+
+# ---------------------------------------------------------------------------
+# one banded eigensolve per chain
+# ---------------------------------------------------------------------------
+
+def _smooth_chain(d, cells, seed=0):
+    grid = grid_with_cells(box(d, 1.0), cells)
+    centers = grid.centers_all()
+    u = np.random.default_rng(seed).uniform(-0.05, 0.05, grid.state_count)
+    scores = (1.5 * np.sin(2.0 * centers[:, 0])
+              + 0.8 * np.einsum("ij,ij->i", centers, centers) + u)
+    return grid, scores, exact_chain(scores, grid)
+
+
+def test_mixing_queries_at_two_budgets_solve_once(eig_banded_calls):
+    grid, scores, analysis = _smooth_chain(2, 16)
+    P, pi = analysis.transition, analysis.stationary
+    alpha = grid_lipschitz(scores, grid)
+    for accuracy in (0.1, 0.01):
+        t = mixing_time_bound(alpha, grid.tau, 2, accuracy, 0.05)
+        assert linf_mixing_distance(P, pi, t) <= CERTIFIED_FLOOR
+    assert eig_banded_calls == [(17, 256)]
+    assert certified_mixing_steps(P, pi, 0.1) is not None
+    assert len(eig_banded_calls) == 1
+
+
+def test_cheeger_interval_after_a_mixing_query_adds_no_solve(eig_banded_calls):
+    analysis = _smooth_chain(2, 8)[2]
+    linf_mixing_distance(analysis.transition, analysis.stationary, 10**6)
+    assert len(eig_banded_calls) == 1
+    low, high = analysis.cheeger_interval()
+    assert len(eig_banded_calls) == 1
+    chain._lambda2_memo.clear()
+    assert analysis.cheeger_interval() == (low, high)
+    assert len(eig_banded_calls) == 2
+
+
+@pytest.mark.parametrize("d,cells", [(1, 2), (1, 64), (2, 8), (2, 16)])
+def test_memoized_lambda2_is_bit_equal_to_a_fresh_solve(eig_banded_calls, d,
+                                                         cells):
+    _, _, analysis = _smooth_chain(d, cells, seed=cells)
+    P, pi = analysis.transition, analysis.stationary
+    fresh = symmetrized_lambda2_nonzero(P, pi)
+    eig_banded_calls.clear()
+    cold = chain._symmetrized_lambda2(P, pi)
+    warm = chain._symmetrized_lambda2(P, pi)
+    assert cold == fresh and warm == fresh
+    assert len(eig_banded_calls) == 1
+
+
+def test_nearby_chains_get_their_own_solve(eig_banded_calls):
+    grid, scores, analysis = _smooth_chain(2, 8)
+    P, pi = analysis.transition, analysis.stationary
+    bands = symmetrized_bands_nonzero(P, pi)[0]
+    cases = [(P, pi)]
+    for flat in (20, 27):
+        nudged = scores.copy()
+        nudged[flat] = np.nextafter(nudged[flat], math.inf)
+        other = exact_chain(nudged, grid)
+        assert not np.array_equal(other.transition, P)
+        cases.append((other.transition, other.stationary))
+    for factor in (1.0 + 1e-9, 1.01):
+        reweighted = pi.copy()
+        reweighted[5] *= factor
+        cases.append((P, reweighted))
+    # one ulp at state 20 moves the bands; at 27 it moves P but every
+    # symmetrized entry rounds back, so the solve is shared.  Scaling one
+    # pi entry moves each band entry only to second order: by 1e-9 that
+    # rounds away (only skew moves), by 1% it does not
+    moved = [not np.array_equal(symmetrized_bands_nonzero(*case)[0], bands)
+             for case in cases]
+    assert moved == [False, True, False, False, True]
+    fresh = [symmetrized_lambda2_nonzero(*case) for case in cases]
+    assert fresh[3][1] != fresh[0][1]
+    eig_banded_calls.clear()
+    for _ in range(2):
+        for case, want in zip(cases, fresh):
+            assert chain._symmetrized_lambda2(*case) == want
+        assert len(eig_banded_calls) == 3
+
+
+def test_lambda2_memo_keeps_the_newest_chains(eig_banded_calls):
+    grid = grid_with_cells(box(1), 10)
+    rng = np.random.default_rng(1)
+    chains = [exact_chain(rng.normal(size=10), grid) for _ in range(11)]
+    for analysis in chains:
+        chain._lambda_star(analysis.transition, analysis.stationary)
+        assert len(chain._lambda2_memo) <= 8
+    assert len(eig_banded_calls) == 11 and len(chain._lambda2_memo) == 8
+    newest, oldest = chains[-1], chains[0]
+    chain._lambda_star(newest.transition, newest.stationary)
+    assert len(eig_banded_calls) == 11
+    chain._lambda_star(oldest.transition, oldest.stationary)
+    assert len(eig_banded_calls) == 12 and len(chain._lambda2_memo) == 8
+
+
+def test_threads_alternating_between_chains_get_their_own_lambda2(
+        eig_banded_calls):
+    # six threads on a few cores, each alternating between its own two
+    # chains: twelve chains in all, so the memo misses and evicts while the
+    # other threads read it
+    grid = grid_with_cells(box(1), 10)
+    rng = np.random.default_rng(2)
+    pairs = [(a.transition, a.stationary) for a in
+             (exact_chain(rng.normal(size=10), grid) for _ in range(12))]
+    fresh = [symmetrized_lambda2_nonzero(P, pi) for P, pi in pairs]
+    start = threading.Barrier(6, timeout=10.0)
+
+    def alternate(worker):
+        start.wait()
+        wrong = 0
+        for i in range(200):
+            k = 2 * worker + i % 2
+            wrong += chain._symmetrized_lambda2(*pairs[k]) != fresh[k]
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(alternate, w) for w in range(6)]
+            assert [f.result(timeout=60.0) for f in futures] == [0] * 6
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(chain._lambda2_memo) <= 8
