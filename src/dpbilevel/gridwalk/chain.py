@@ -7,14 +7,17 @@ Off-diagonal transition probabilities are therefore
 (1/(4d)) * min{1, exp(-(f'(y) - f'(x)))}, and the stationary law is the
 Gibbs law proportional to exp(-f') by detailed balance.
 
-These routines build the dense transition matrix, its stationary law,
-exact conductance by subset enumeration, the spectral gap on request,
-L-infinity mixing distances, and the closed-form mixing-time budget used by
-the sampler.  Everything here is for audit-scale chains; the actual sampler
+These routines build the transition matrix as a scipy.sparse.csr_array,
+its stationary law, exact conductance by subset enumeration, L-infinity
+mixing distances, and the closed-form mixing-time budget used by the
+sampler.  Everything here is for audit-scale chains; the actual sampler
 never materializes a matrix.  Only the 2d-neighbour edges fill P off its
-diagonal, so exact_chain makes no dense pass besides building P: it reads
-reducibility off the edge list.  Conductance enumerates the subsets of each
-half of the states separately and sums only nonnegative cut flows.
+diagonal, so P holds at most 2d + 1 entries a row, and exact_chain and the
+certified path form no n x n array: reducibility is read off P's pattern
+and lambda_2's bands off its entries.  Math that is dense stays dense:
+conductance (at most CONDUCTANCE_STATE_CAP states) and the exact mixing
+distance take P.toarray() on entry.  Conductance enumerates the subsets of
+each half of the states separately and sums only nonnegative cut flows.
 
 Mixing distances come from one of two paths.  The certified path bounds the
 distance by lambda*^t / pi_min (Levin, Peres & Wilmer, *Markov Chains and
@@ -43,6 +46,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.csgraph
 
 from ..errors import SizeCapError
@@ -62,6 +66,8 @@ CERTIFIED_FLOOR = 1e-12
 #: LAPACK estimate of lambda_2; it covers rounding in P, pi and the banded
 #: eigensolve, which turns that estimate into a certificate
 MARGIN_FACTOR = 8
+#: rows whose sums transition_matrix takes at once, for its diagonal
+_SLAB_ROWS = 64
 #: distinct chains whose lambda_2 is remembered, oldest evicted first
 _LAMBDA2_MEMO_SIZE = 8
 
@@ -70,39 +76,63 @@ _lambda2_memo: dict[tuple, float] = {}
 _lambda2_lock = threading.Lock()
 
 
-def transition_matrix(f_values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Dense lazy-Metropolis transition matrix for scores f' at the centers.
+def transition_matrix(f_values: np.ndarray, grid: GridSpec) -> scipy.sparse.csr_array:
+    """Lazy-Metropolis transition matrix for scores f' at the centers, as CSR.
 
-    Edges come from the grid strides.  Each weight is math.exp of
-    min(0, f[x] - f[y]) (no overflow), the same libm call per edge as a
-    scalar loop, because np.exp rounds differently on a few percent of
-    inputs; the diagonal is 1 minus the row sum, summed over the dense row.
+    Each row stores its diagonal and its positive neighbour weights, columns
+    ascending; a weight that is exactly 0.0 (an infinite score uphill) is
+    not stored.  Each weight is math.exp of min(0, f[x] - f[y]) (no
+    overflow), the same libm call per edge as a scalar loop, because np.exp
+    rounds differently on a few percent of inputs.  The diagonal is 1 minus
+    the row sum, summed over dense rows of a reused _SLAB_ROWS x n slab:
+    NumPy sums a row pairwise, so a plain sum over the neighbours would
+    round differently on d >= 2 grids.  toarray() equals the dense matrix
+    of the neighbour loop bit for bit.
     """
     f = np.asarray(f_values, dtype=float)
-    n = grid.state_count
+    n, d = grid.state_count, grid.d
     if f.shape != (n,):
         raise ValueError(f"need {n} scores, got shape {f.shape}")
-    src, dst = _grid_edges(grid)
-    diff = f[src] - f[dst]
+    cols, is_edge = _neighbour_slots(grid)
+    diff = f[np.nonzero(is_edge)[0]] - f[cols[is_edge]]
     expo = np.where(diff < 0.0, diff, 0.0).tolist()
-    P = np.zeros((n, n))
-    P[src, dst] = (1.0 / (4.0 * grid.d)) * np.fromiter(map(math.exp, expo), float, len(expo))
-    flat = np.arange(n)
-    P[flat, flat] = 1.0 - P.sum(axis=1)
-    return P
+    weights = np.zeros(cols.shape)
+    weights[is_edge] = (1.0 / (4.0 * d)) * np.fromiter(map(math.exp, expo), float, len(expo))
+    keep = weights > 0.0
+    keep[:, d] = True
+    rows = np.nonzero(keep)[0]
+    indices, data = cols[keep], weights[keep]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    sums = np.empty(n)
+    slab = np.zeros((min(_SLAB_ROWS, n), n))
+    for top in range(0, n, _SLAB_ROWS):
+        bottom = min(top + _SLAB_ROWS, n)
+        span = slice(indptr[top], indptr[bottom])
+        at = rows[span] - top, indices[span]
+        slab[at] = data[span]
+        sums[top:bottom] = slab[:bottom - top].sum(axis=1)
+        slab[at] = 0.0
+    data[indptr[:-1] + keep[:, :d].sum(axis=1)] = 1.0 - sums
+    return scipy.sparse.csr_array((data, indices, indptr), shape=(n, n))
 
 
-def _grid_edges(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(src, dst) flat indices of every ordered pair of axis neighbours."""
+def _neighbour_slots(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2d+1) column table of each state's row, and which slots are edges.
+
+    Slot j holds the column at offset -s_0, ..., -s_{d-1}, 0, s_{d-1}, ...,
+    s_0 with s_axis = m^(d-1-axis), so every row is in ascending column
+    order and slot d is the state itself; a slot is an edge when that
+    neighbour lies inside the cube.
+    """
     m, d = grid.cells_per_axis, grid.d
     flat = np.arange(grid.state_count)
-    src, dst = [], []
-    for stride in (m ** (d - 1 - axis) for axis in range(d)):
-        coord = (flat // stride) % m
-        for sgn, has in ((-1, coord > 0), (1, coord < m - 1)):
-            src.append(flat[has])
-            dst.append(flat[has] + sgn * stride)
-    return np.concatenate(src), np.concatenate(dst)
+    strides = m ** np.arange(d - 1, -1, -1)
+    coord = (flat[:, None] // strides) % m
+    cols = flat[:, None] + np.concatenate([-strides, [0], strides[::-1]])
+    is_edge = np.concatenate(
+        [coord > 0, np.zeros((len(flat), 1), bool), (coord < m - 1)[:, ::-1]], axis=1)
+    return cols, is_edge
 
 
 def stationary_from_scores(f_values: np.ndarray) -> np.ndarray:
@@ -130,50 +160,43 @@ class ChainAnalysis:
 
     grid: GridSpec
     f_values: np.ndarray
-    transition: np.ndarray
+    transition: scipy.sparse.csr_array
     stationary: np.ndarray
     conductance_phi: Optional[float]
     reducible: bool
 
-    def cheeger_interval(self) -> tuple[float, float]:
-        """(gap/2, sqrt(2*gap)) bracket for the conductance.
 
-        The spectral gap, 1 - lambda_2 on the stationary law's support, takes
-        one banded eigensolve, shared with any mixing query on the same chain.
-        """
-        P, pi = self.transition, self.stationary
-        support = pi > 0
-        if not np.all(support):
-            P, pi = P[np.ix_(support, support)], pi[support]
-        gap = 1.0 - _symmetrized_lambda2(P, pi)[0] if len(pi) > 1 else 1.0
-        return gap / 2.0, math.sqrt(2.0 * gap)
-
-
-def _symmetrized_lambda2(P: np.ndarray, pi: np.ndarray) -> tuple[float, float]:
+def _symmetrized_lambda2(P: scipy.sparse.csr_array, pi: np.ndarray) -> tuple[float, float]:
     """(lambda_2, skew) of S = D^{1/2} P D^{-1/2}, D = diag(pi), pi > 0.
 
     lambda_2 is the second-largest eigenvalue of (S + S^T)/2, from LAPACK's
-    banded solver.  Its bands are read off P's diagonals out to P's
-    bandwidth: 1 on a 1-d grid, the cells per axis on a 2-d one.  The
-    bandwidth is found by counting: diagonals +-k are peeled off until they
-    hold all of P's off-diagonal nonzeros.  skew is max |S - S^T|, which is
-    rounding-sized exactly when P is reversible with respect to pi.
+    banded solver.  Its bands reach out to P's bandwidth, the largest
+    |row - column| over the stored entries whose value is nonzero: 1 on a
+    1-d grid, the cells per axis on a 2-d one.  Only the diagonals that hold
+    such an entry are filled from P's entries; the rest of the bands are
+    zero.  skew is max |S - S^T|, which is rounding-sized exactly when P is
+    reversible with respect to pi.
     """
     n = len(pi)
-    rest = np.count_nonzero(P) - np.count_nonzero(np.diagonal(P))
-    width = 0
-    while rest:
-        width += 1
-        rest -= np.count_nonzero(np.diagonal(P, width)) + np.count_nonzero(np.diagonal(P, -width))
+    rows = np.repeat(np.arange(n), np.diff(P.indptr))
+    live = P.data != 0.0
+    rows, cols, vals = rows[live], P.indices[live], P.data[live]
+    low = np.minimum(rows, cols)
+    offset = np.abs(cols - rows)
+    width = int(offset.max(initial=0))
+    used = np.zeros(width + 1, dtype=bool)
+    used[offset] = True
+    slot = (np.cumsum(used) - 1)[offset]
     root = np.sqrt(pi)
+    ratio = root[low + offset] / root[low]
+    below = np.zeros((int(used.sum()), n))  # S[j+k, j] on the used diagonals k
+    above = np.zeros_like(below)  # S[j, j+k]
+    lower, upper = rows >= cols, rows <= cols
+    below[slot[lower], low[lower]] = ratio[lower] * vals[lower]
+    above[slot[upper], low[upper]] = vals[upper] / ratio[upper]
+    skew = float(np.max(np.abs(below - above), initial=0.0))
     bands = np.zeros((width + 1, n))
-    skew = 0.0
-    for k in range(width + 1):
-        ratio = root[k:] / root[:n - k]
-        below = ratio * np.diagonal(P, -k)  # S[j+k, j]
-        above = np.diagonal(P, k) / ratio  # S[j, j+k]
-        bands[k, :n - k] = 0.5 * (below + above)
-        skew = max(skew, float(np.max(np.abs(below - above))))
+    bands[used] = 0.5 * (below + above)
     return _banded_lambda2(bands), skew
 
 
@@ -200,7 +223,7 @@ def _banded_lambda2(bands: np.ndarray) -> float:
     return lam2
 
 
-def _lambda_star(P: np.ndarray, pi: np.ndarray) -> float:
+def _lambda_star(P: scipy.sparse.csr_array, pi: np.ndarray) -> float:
     """Certified bound on |lambda| over P's non-unit eigenvalues, else inf.
 
     max(lambda_2, 1 - 2 min diag(P)) bounds them all: Gershgorin puts every
@@ -216,10 +239,10 @@ def _lambda_star(P: np.ndarray, pi: np.ndarray) -> float:
     margin = MARGIN_FACTOR * n * np.finfo(float).eps
     if skew > margin:
         return math.inf
-    return max(lam2, 1.0 - 2.0 * float(np.min(np.diagonal(P)))) + margin
+    return max(lam2, 1.0 - 2.0 * float(np.min(P.diagonal()))) + margin
 
 
-def _certified_distance(P: np.ndarray, pi: np.ndarray, t: int) -> float:
+def _certified_distance(P: scipy.sparse.csr_array, pi: np.ndarray, t: int) -> float:
     """-log(1 - lambda*^t / pi_min), an upper bound on the L-inf distance.
 
     Every |P^t(x,y)/pi(y) - 1| is at most lambda*^t / pi_min for a
@@ -235,7 +258,7 @@ def _certified_distance(P: np.ndarray, pi: np.ndarray, t: int) -> float:
 
 
 def certified_mixing_steps(
-    P: np.ndarray, pi: np.ndarray, accuracy: float
+    P: scipy.sparse.csr_array, pi: np.ndarray, accuracy: float
 ) -> Optional[int]:
     """Smallest t whose certified bound puts every row within accuracy of pi.
 
@@ -251,12 +274,14 @@ def certified_mixing_steps(
 
 
 def exact_chain(f_values: np.ndarray, grid: GridSpec) -> ChainAnalysis:
-    """Materialize the chain at audit scale (dense matrix, exact stationary law).
+    """Materialize the chain at audit scale (CSR transition, exact stationary law).
 
     f_values are the scores at the cell centers, in flat-index order.
     Conductance is filled exactly when the state count is within the
-    enumeration cap, else left as None.  No eigensolve runs here: the
-    spectral gap is computed only by cheeger_interval().
+    enumeration cap, else left as None.  No eigensolve runs here, and no
+    n x n array is formed: P stores only its positive off-diagonal entries,
+    and self-loops do not change strong connectivity, so P's own pattern
+    decides reducibility.
     """
     n = grid.state_count
     if n > EXACT_STATE_CAP:
@@ -264,14 +289,8 @@ def exact_chain(f_values: np.ndarray, grid: GridSpec) -> ChainAnalysis:
     f = np.asarray(f_values, dtype=float)
     P = transition_matrix(f, grid)
     pi = stationary_from_scores(f)
-    # P's only off-diagonal entries are on the grid edges, and self-loops do
-    # not change strong connectivity: the live edges decide reducibility
-    src, dst = _grid_edges(grid)
-    weights = P[src, dst]
-    live = weights > 0
-    graph = scipy.sparse.csr_matrix((weights[live], (src[live], dst[live])), shape=(n, n))
     ncomp, _ = scipy.sparse.csgraph.connected_components(
-        graph, directed=True, connection="strong")
+        P, directed=True, connection="strong")
     reducible = ncomp > 1
     analysis = ChainAnalysis(
         grid=grid, f_values=f, transition=P, stationary=pi,
@@ -292,7 +311,8 @@ def conductance_exact(analysis: ChainAnalysis) -> float:
     assembled from tables over each half: outflow is the flow leaving a
     within A, leaving b within B, from a into B - b and from b into A - a,
     every term nonnegative, so a tiny bottleneck flow keeps its relative
-    accuracy.  Refuses above CONDUCTANCE_STATE_CAP states.
+    accuracy.  Refuses above CONDUCTANCE_STATE_CAP states; P is taken
+    dense.
     """
     n = analysis.grid.state_count
     if n > CONDUCTANCE_STATE_CAP:
@@ -301,7 +321,7 @@ def conductance_exact(analysis: ChainAnalysis) -> float:
             "use the Cheeger interval from the spectral gap instead"
         )
     pi = analysis.stationary
-    Q = pi[:, None] * analysis.transition  # flow matrix, entries >= 0
+    Q = pi[:, None] * analysis.transition.toarray()  # flow matrix, entries >= 0
     A, B = slice(0, n // 2), slice(n // 2, n)
     in_a, in_b = _subset_table(n // 2), _subset_table(n - n // 2)
     out_a, out_b = 1.0 - in_a, 1.0 - in_b
@@ -345,15 +365,16 @@ def mixing_time_bound(
     return max(1, int(math.ceil(K_MIX * math.exp(12.0 * zeta_bound) * core)))
 
 
-def linf_mixing_distance(P: np.ndarray, pi: np.ndarray, t: int) -> float:
+def linf_mixing_distance(P: scipy.sparse.csr_array, pi: np.ndarray, t: int) -> float:
     """max over start states of dist_inf(row of P^t, pi).
 
     The certified bound -log(1 - lambda*^t / pi_min) is tried first and
     returned when it is at most CERTIFIED_FLOOR: an upper bound on the
     distance of the reversible chain P and pi describe, within the exact
-    path's rounding floor.  lambda* does not depend on t, and its banded
-    eigensolve is memoized, so asking the same P and pi at several t solves
-    once.  Otherwise the result is exact.  Small chains take P^t by binary
+    path's rounding floor; it reads only P's stored entries.
+    lambda* does not depend on t, and its banded eigensolve is memoized, so
+    asking the same P and pi at several t solves once.  Otherwise the result
+    is exact, on P taken dense.  Small chains take P^t by binary
     powering with rows renormalized after every multiply to keep
     floating-point drift out of the log-ratio metric.  Above
     SPECTRAL_STATE_THRESHOLD states, the power is taken through the
@@ -368,9 +389,10 @@ def linf_mixing_distance(P: np.ndarray, pi: np.ndarray, t: int) -> float:
 
 
 def _exact_distance(
-    P: np.ndarray, pi: np.ndarray, t: int, spectral_threshold: int
+    P: scipy.sparse.csr_array, pi: np.ndarray, t: int, spectral_threshold: int
 ) -> float:
-    """linf_mixing_distance without the certified path."""
+    """linf_mixing_distance without the certified path, on P taken dense."""
+    P = P.toarray()
     n = P.shape[0]
     if n > spectral_threshold and np.all(pi > 0):
         root = np.sqrt(pi)
@@ -388,7 +410,7 @@ def _exact_distance(
         return M / M.sum(axis=1, keepdims=True)
 
     result = None
-    base = P.copy()
+    base = P
     k = t
     while k:
         if k & 1:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.csgraph
 
 from dpbilevel.errors import ConfigurationError
+from dpbilevel.gridwalk import chain
 from dpbilevel.inner import phi_solution_pair
 
 
@@ -96,9 +98,10 @@ def domain_diameter(dom):
 
 
 def transition_matrix_loop(f_values, grid) -> np.ndarray:
-    """The lazy-Metropolis matrix by a loop over states and their neighbours.
+    """The dense lazy-Metropolis matrix by a loop over states and their neighbours.
 
-    The scalar definition chain.transition_matrix must reproduce bit for bit.
+    The scalar definition chain.transition_matrix's CSR must reproduce bit
+    for bit.
     """
     f = np.asarray(f_values, dtype=float)
     n = grid.state_count
@@ -141,7 +144,7 @@ def dense_reducible(P) -> bool:
 
 
 def symmetrized_bands_nonzero(P, pi):
-    """(bands, skew) of chain._symmetrized_lambda2, bandwidth from np.nonzero(P)."""
+    """(bands, skew) of chain._symmetrized_lambda2 for a dense P, bandwidth from np.nonzero(P)."""
     n = len(pi)
     rows, cols = np.nonzero(P)
     width = int(np.max(np.abs(rows - cols), initial=0))
@@ -168,3 +171,52 @@ def symmetrized_lambda2_nonzero(P, pi):
     lam2 = scipy.linalg.eig_banded(bands, lower=True, eigvals_only=True,
                                    select="i", select_range=(n - 2, n - 2))
     return float(lam2[0]), skew
+
+
+def lambda_star_nonzero(P, pi) -> float:
+    """chain._lambda_star of a dense P, with lambda_2 from symmetrized_lambda2_nonzero."""
+    n = len(pi)
+    if n < 2 or not np.all(pi > 0):
+        return math.inf
+    lam2, skew = symmetrized_lambda2_nonzero(P, pi)
+    margin = chain.MARGIN_FACTOR * n * np.finfo(float).eps
+    if skew > margin:
+        return math.inf
+    return max(lam2, 1.0 - 2.0 * float(np.min(np.diagonal(P)))) + margin
+
+
+def certified_queries_nonzero(P, pi, accuracy, t):
+    """(certified_mixing_steps, linf_mixing_distance) of a dense P.
+
+    Both come from the closed forms in lambda_star_nonzero's lambda*; a
+    distance the certificate does not put within chain.CERTIFIED_FLOOR is
+    chain._exact_distance's, which takes P dense anyway.
+    """
+    lam = lambda_star_nonzero(P, pi)
+    if not 0.0 < lam < 1.0:
+        steps, bound = None, math.inf
+    else:
+        log_pi_min = math.log(float(np.min(pi)))
+        target = math.log(-math.expm1(-accuracy)) + log_pi_min
+        steps = max(1, math.ceil(target / math.log(lam)))
+        log_ratio = t * math.log(lam) - log_pi_min
+        bound = math.inf if log_ratio >= 0.0 else -math.log1p(-math.exp(log_ratio))
+    if bound <= chain.CERTIFIED_FLOOR:
+        return steps, bound
+    return steps, chain._exact_distance(
+        scipy.sparse.csr_array(P), pi, t, chain.SPECTRAL_STATE_THRESHOLD)
+
+
+def cheeger_interval(analysis) -> tuple[float, float]:
+    """(gap/2, sqrt(2*gap)) bracket for an exact_chain's conductance.
+
+    The spectral gap is 1 - lambda_2 on the stationary law's support, from
+    chain._symmetrized_lambda2, so it shares the memoized banded eigensolve
+    with any mixing query on the same chain.
+    """
+    P, pi = analysis.transition, analysis.stationary
+    support = pi > 0
+    if not np.all(support):
+        P, pi = P[support][:, support], pi[support]
+    gap = 1.0 - chain._symmetrized_lambda2(P, pi)[0] if len(pi) > 1 else 1.0
+    return gap / 2.0, math.sqrt(2.0 * gap)

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,9 +29,12 @@ from dpbilevel.gridwalk.chain import (
 from dpbilevel.gridwalk.grid import build_grid, grid_with_cells
 from dpbilevel.problem import Domain
 from oracles import (
+    certified_queries_nonzero,
+    cheeger_interval,
     cut_conductance,
     dense_reducible,
     grid_lipschitz,
+    lambda_star_nonzero,
     symmetrized_bands_nonzero,
     symmetrized_lambda2_nonzero,
     transition_matrix_loop,
@@ -100,12 +104,12 @@ def test_two_state_kernel_frozen():
     grid = grid_with_cells(box(1), 2)
     f = np.array([0.0, math.log(2.0)])
     P = transition_matrix(f, grid)
-    np.testing.assert_allclose(P, [[0.875, 0.125], [0.25, 0.75]], atol=1e-15)
+    np.testing.assert_allclose(P.toarray(), [[0.875, 0.125], [0.25, 0.75]], atol=1e-15)
     analysis = exact_chain(f, grid)
     np.testing.assert_allclose(analysis.stationary, [2.0 / 3.0, 1.0 / 3.0],
                                atol=1e-15)
     assert conductance_exact(analysis) == pytest.approx(0.25, abs=1e-15)
-    low, high = analysis.cheeger_interval()
+    low, high = cheeger_interval(analysis)
     assert low <= 0.25 <= high
 
 
@@ -137,21 +141,30 @@ def test_detailed_balance_and_row_sums(seed, cells, d):
     rng = np.random.default_rng(seed)
     grid = grid_with_cells(box(d), cells)
     f = rng.normal(size=grid.state_count) * 1.5
-    P = transition_matrix(f, grid)
+    P = transition_matrix(f, grid).toarray()
     pi = stationary_from_scores(f)
     np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
     flows = pi[:, None] * P
     np.testing.assert_allclose(flows, flows.T, atol=1e-10)
 
 
-@pytest.mark.parametrize("d, cells", [(1, 1), (1, 2), (1, 32), (2, 3), (2, 10), (3, 4), (3, 6)])
+@pytest.mark.parametrize("d, cells", [(1, 1), (1, 2), (1, 32), (1, 65), (2, 3), (2, 10), (2, 30),
+                                      (3, 4), (3, 6), (3, 10)])
 def test_transition_matrix_equals_the_neighbour_loop(d, cells):
-    # 32, 10 and 6 cells per axis are the audit grids in d = 1, 2, 3
+    # 32, 10 and 6 cells per axis are the audit grids in d = 1, 2, 3; 65,
+    # 900 and 1000 states fill more than one 64-row slab of row sums, and
+    # end on a partial one
     grid = grid_with_cells(box(d), cells)
     rng = np.random.default_rng(100 * d + cells)
     f = rng.normal(scale=3.0, size=grid.state_count)
     f[rng.integers(grid.state_count)] = np.inf
-    np.testing.assert_array_equal(transition_matrix(f, grid), transition_matrix_loop(f, grid))
+    P = transition_matrix(f, grid)
+    assert isinstance(P, scipy.sparse.csr_array) and P.has_canonical_format
+    np.testing.assert_array_equal(P.toarray(), transition_matrix_loop(f, grid))
+    # every stored off-diagonal weight is positive: the infinite score's
+    # 0.0 weights are left out, not stored
+    rows = np.repeat(np.arange(grid.state_count), np.diff(P.indptr))
+    assert np.all(P.data[rows != P.indices] > 0.0)
 
 
 def test_infinite_score_disconnects():
@@ -175,11 +188,12 @@ def test_exact_chain_runs_no_eigensolve(monkeypatch):
     big = exact_chain(f_big, big_grid)
     small = exact_chain(f_small, small_grid)
     # the Cheeger bracket's gap comes from the banded solver, not a dense one
-    low, high = small.cheeger_interval()
-    big_low = big.cheeger_interval()[0]
+    low, high = cheeger_interval(small)
+    big_low = cheeger_interval(big)[0]
     monkeypatch.undo()
 
-    np.testing.assert_array_equal(big.transition, transition_matrix(f_big, big_grid))
+    np.testing.assert_array_equal(big.transition.toarray(),
+                                  transition_matrix(f_big, big_grid).toarray())
     np.testing.assert_array_equal(big.stationary, stationary_from_scores(f_big))
     assert big.conductance_phi is None  # 64 states: above the enumeration cap
     assert small.conductance_phi == conductance_exact(small) > 0.0
@@ -218,7 +232,7 @@ def test_conductance_matches_bruteforce(seed):
     grid = grid_with_cells(box(1), cells)
     f = rng.normal(size=cells) * 2.0
     analysis = exact_chain(f, grid)
-    expected = naive_conductance(analysis.transition, analysis.stationary)
+    expected = naive_conductance(analysis.transition.toarray(), analysis.stationary)
     assert conductance_exact(analysis) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -242,7 +256,7 @@ def test_conductance_keeps_relative_accuracy_at_a_bottleneck(d, cells, barrier, 
     f = np.random.default_rng(cells).normal(scale=0.3, size=grid.state_count)
     f[barrier] += height
     analysis = exact_chain(f, grid)
-    expected = cut_conductance(analysis.transition, analysis.stationary, grid)
+    expected = cut_conductance(analysis.transition.toarray(), analysis.stationary, grid)
     assert 1e-6 < expected < 1e-4
     assert analysis.conductance_phi == pytest.approx(expected, rel=1e-13, abs=0.0)
 
@@ -264,7 +278,7 @@ def test_reducible_matches_the_dense_pattern(d, cells):
     cases = [rng.normal(size=grid.state_count), _stepped_scores(grid, cells), with_inf]
     for f in cases[:1] if grid.state_count == 1 else cases:
         analysis = exact_chain(f, grid)
-        assert analysis.reducible == dense_reducible(analysis.transition)
+        assert analysis.reducible == dense_reducible(analysis.transition.toarray())
     if grid.state_count > 1:
         # the step is one-way: nothing climbs it, so the chain is reducible
         assert exact_chain(cases[1], grid).reducible
@@ -279,23 +293,34 @@ def test_counted_bandwidth_gives_the_same_lambda2(d, cells):
         P, pi = analysis.transition, analysis.stationary
         # past the step pi underflows to 0: restrict as cheeger_interval does
         keep = pi > 0
-        P, pi = P[np.ix_(keep, keep)], pi[keep]
+        P, pi = P[keep][:, keep], pi[keep]
         if len(pi) > 1:
-            assert chain._symmetrized_lambda2(P, pi) == symmetrized_lambda2_nonzero(P, pi)
+            assert chain._symmetrized_lambda2(P, pi) == symmetrized_lambda2_nonzero(P.toarray(), pi)
+
+
+def _stored_out_to(P, width):
+    """P as CSR, storing every entry within width of the diagonal, zeros too."""
+    rows, cols = np.nonzero(np.abs(np.subtract.outer(np.arange(len(P)), np.arange(len(P)))) <= width)
+    return scipy.sparse.csr_array((P[rows, cols], (rows, cols)), shape=P.shape)
 
 
 def test_counted_bandwidth_with_holes_inside_the_band():
-    # zero diagonal entries and zeros inside the outermost band
+    # zero diagonal entries and zeros inside the outermost band; stored
+    # explicit zeros out to offset 5 do not widen the bands
     rng = np.random.default_rng(5)
     n = 12
     P = np.triu(np.tril(rng.uniform(size=(n, n)), 3), -3)
     P[rng.uniform(size=(n, n)) < 0.4] = 0.0
     P[0, 3] = 0.5
     pi = rng.uniform(0.5, 1.0, size=n)
-    assert chain._symmetrized_lambda2(P, pi) == symmetrized_lambda2_nonzero(P, pi)
+    want = symmetrized_lambda2_nonzero(P, pi)
+    assert chain._symmetrized_lambda2(scipy.sparse.csr_array(P), pi) == want
+    assert chain._symmetrized_lambda2(_stored_out_to(P, 5), pi) == want
     P[np.arange(n), np.arange(n)] = 0.0
     P[0, 3] = P[3, 0] = 0.0
-    assert chain._symmetrized_lambda2(P, pi) == symmetrized_lambda2_nonzero(P, pi)
+    want = symmetrized_lambda2_nonzero(P, pi)
+    assert chain._symmetrized_lambda2(scipy.sparse.csr_array(P), pi) == want
+    assert chain._symmetrized_lambda2(_stored_out_to(P, 5), pi) == want
 
 
 def _traced_peak_mb(fn, *args):
@@ -313,11 +338,24 @@ def test_conductance_memory_at_the_cap():
     assert _traced_peak_mb(conductance_exact, analysis) < 16.0
 
 
-def test_exact_chain_memory_is_about_one_transition_matrix():
-    # P alone is 2048^2 * 8 bytes = 32 MB
-    grid = grid_with_cells(box(1), 2048)
-    f = np.random.default_rng(0).normal(size=grid.state_count)
-    assert _traced_peak_mb(exact_chain, f, grid) < 40.0
+def _chain_check(grid, scores):
+    """exact_chain, then the L-inf distance and certified steps at two budgets."""
+    analysis = exact_chain(scores, grid)
+    alpha = grid_lipschitz(scores, grid)
+    for accuracy in (0.1, 0.01):
+        t = mixing_time_bound(alpha, grid.tau, grid.d, accuracy, 0.05)
+        assert linf_mixing_distance(analysis.transition, analysis.stationary, t) <= CERTIFIED_FLOOR
+        assert certified_mixing_steps(analysis.transition, analysis.stationary, accuracy) <= t
+
+
+@pytest.mark.parametrize("d, cells", [(1, 2048), (1, 4096), (2, 32), (2, 64)])
+def test_chain_check_memory_holds_no_dense_transition(eig_banded_calls, d, cells):
+    # a dense P alone is 32, 128, 8 and 128 MB here; the bands of a 64 x 64
+    # grid are 65 x 4096 doubles, 2.1 MB
+    grid, scores, _ = _smooth_chain(d, cells)
+    chain._lambda2_memo.clear()
+    assert _traced_peak_mb(_chain_check, grid, scores) < 8.0
+    assert len(eig_banded_calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +410,7 @@ def _oracle_chain(name):
         # and min diag(P) = 0.05, so only the Gershgorin term covers -0.9
         h = np.array([[1, 1, -1, -1], [1, -1, 1, -1]]) / 2.0
         P = 0.25 + 0.1 * np.outer(h[0], h[0]) - 0.9 * np.outer(h[1], h[1])
-        return P, np.full(4, 0.25)
+        return scipy.sparse.csr_array(P), np.full(4, 0.25)
     rng = np.random.default_rng(7)
     d, cells = {"line": (1, 64), "square": (2, 8)}[name]
     grid = grid_with_cells(box(d), cells)
@@ -498,10 +536,10 @@ def test_cheeger_interval_after_a_mixing_query_adds_no_solve(eig_banded_calls):
     analysis = _smooth_chain(2, 8)[2]
     linf_mixing_distance(analysis.transition, analysis.stationary, 10**6)
     assert len(eig_banded_calls) == 1
-    low, high = analysis.cheeger_interval()
+    low, high = cheeger_interval(analysis)
     assert len(eig_banded_calls) == 1
     chain._lambda2_memo.clear()
-    assert analysis.cheeger_interval() == (low, high)
+    assert cheeger_interval(analysis) == (low, high)
     assert len(eig_banded_calls) == 2
 
 
@@ -510,7 +548,7 @@ def test_memoized_lambda2_is_bit_equal_to_a_fresh_solve(eig_banded_calls, d,
                                                          cells):
     _, _, analysis = _smooth_chain(d, cells, seed=cells)
     P, pi = analysis.transition, analysis.stationary
-    fresh = symmetrized_lambda2_nonzero(P, pi)
+    fresh = symmetrized_lambda2_nonzero(P.toarray(), pi)
     eig_banded_calls.clear()
     cold = chain._symmetrized_lambda2(P, pi)
     warm = chain._symmetrized_lambda2(P, pi)
@@ -518,16 +556,35 @@ def test_memoized_lambda2_is_bit_equal_to_a_fresh_solve(eig_banded_calls, d,
     assert len(eig_banded_calls) == 1
 
 
+@pytest.mark.parametrize("d,cells", [(1, 256), (1, 2048), (2, 4), (2, 16), (2, 30), (2, 32)])
+def test_certified_path_on_the_csr_equals_the_dense_loop_matrix(d, cells):
+    # chain-check and lemma-chain sizes: every certified-path query on the
+    # CSR gives the bits its dense-matrix oracle gives on the loop's P, at
+    # the closed-form budgets and, on the 256-state chain, at a step count
+    # the certificate declines
+    grid, scores, analysis = _smooth_chain(d, cells, seed=cells)
+    P, pi = analysis.transition, analysis.stationary
+    dense = transition_matrix_loop(scores, grid)
+    assert chain._symmetrized_lambda2(P, pi) == symmetrized_lambda2_nonzero(dense, pi)
+    assert chain._lambda_star(P, pi) == lambda_star_nonzero(dense, pi) < 1.0
+    alpha = grid_lipschitz(scores, grid)
+    for accuracy in (0.1, 0.01):
+        budget = mixing_time_bound(alpha, grid.tau, d, accuracy, 0.05)
+        for t in (budget, 40) if cells == 256 else (budget,):
+            got = (certified_mixing_steps(P, pi, accuracy), linf_mixing_distance(P, pi, t))
+            assert got == certified_queries_nonzero(dense, pi, accuracy, t)
+
+
 def test_nearby_chains_get_their_own_solve(eig_banded_calls):
     grid, scores, analysis = _smooth_chain(2, 8)
     P, pi = analysis.transition, analysis.stationary
-    bands = symmetrized_bands_nonzero(P, pi)[0]
+    bands = symmetrized_bands_nonzero(P.toarray(), pi)[0]
     cases = [(P, pi)]
     for flat in (20, 27):
         nudged = scores.copy()
         nudged[flat] = np.nextafter(nudged[flat], math.inf)
         other = exact_chain(nudged, grid)
-        assert not np.array_equal(other.transition, P)
+        assert not np.array_equal(other.transition.toarray(), P.toarray())
         cases.append((other.transition, other.stationary))
     for factor in (1.0 + 1e-9, 1.01):
         reweighted = pi.copy()
@@ -537,10 +594,10 @@ def test_nearby_chains_get_their_own_solve(eig_banded_calls):
     # symmetrized entry rounds back, so the solve is shared.  Scaling one
     # pi entry moves each band entry only to second order: by 1e-9 that
     # rounds away (only skew moves), by 1% it does not
-    moved = [not np.array_equal(symmetrized_bands_nonzero(*case)[0], bands)
-             for case in cases]
+    moved = [not np.array_equal(symmetrized_bands_nonzero(P.toarray(), pi)[0], bands)
+             for P, pi in cases]
     assert moved == [False, True, False, False, True]
-    fresh = [symmetrized_lambda2_nonzero(*case) for case in cases]
+    fresh = [symmetrized_lambda2_nonzero(P.toarray(), pi) for P, pi in cases]
     assert fresh[3][1] != fresh[0][1]
     eig_banded_calls.clear()
     for _ in range(2):
@@ -573,7 +630,7 @@ def test_threads_alternating_between_chains_get_their_own_lambda2(
     rng = np.random.default_rng(2)
     pairs = [(a.transition, a.stationary) for a in
              (exact_chain(rng.normal(size=10), grid) for _ in range(12))]
-    fresh = [symmetrized_lambda2_nonzero(P, pi) for P, pi in pairs]
+    fresh = [symmetrized_lambda2_nonzero(P.toarray(), pi) for P, pi in pairs]
     start = threading.Barrier(6, timeout=10.0)
 
     def alternate(worker):
