@@ -8,10 +8,14 @@ consume an identical pre-drawn uniform stream — three uniforms per step
 and a run can be replayed on either engine.
 
 Scores live in a flat table indexed by cell.  A NaN entry means "not yet
-evaluated": when the walk proposes such a cell the kernel returns early,
-*without* consuming that step's uniforms, so the caller can fill the entry
-and resume mid-block.  Runs are therefore insensitive to which cells happen
-to be evaluated lazily.
+evaluated": when the walk proposes such a cell (a fault) the kernel returns
+early, *without* consuming that step's uniforms, so run_walk can fill the
+entry and resume mid-block.  A fill scores a window of cells in one call:
+the faulting cell's row along the last axis, cut into aligned windows of at
+most _FILL_WINDOW cells, and of its window only the cells still NaN.  Runs
+are insensitive to which cells happen to be evaluated lazily, and to how
+many a fill scores, as long as a cell's score does not depend on the batch
+it was scored in.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from ..errors import SamplerFailure
 from .grid import GridSpec
 
 DEFAULT_BLOCK_SIZE = 8192
+#: cells per fill window: a fault scores the NaN cells of the aligned
+#: window of this many cells along the last axis that holds the faulting cell
+_FILL_WINDOW = 64
 
 
 @functools.cache
@@ -148,6 +155,20 @@ class WalkResult:
     engine: str
 
 
+def _fill(table, index, m, score_fill) -> None:
+    """Score the NaN cells of index's fill window into table with one score_fill call."""
+    row = index - index % m
+    low = row + (index - row) // _FILL_WINDOW * _FILL_WINDOW
+    high = min(low + _FILL_WINDOW, row + m)
+    cells = low + np.flatnonzero(np.isnan(table[low:high]))
+    values = np.asarray(score_fill(cells), dtype=np.float64)
+    if values.shape != cells.shape:
+        raise ValueError(f"score_fill returned shape {values.shape} for {cells.size} cells")
+    table[cells] = values
+    if math.isnan(table[index]):
+        raise SamplerFailure(f"score_fill left cell {index} unevaluated (NaN)")
+
+
 def run_walk(
     table: np.ndarray,
     grid: GridSpec,
@@ -155,14 +176,19 @@ def run_walk(
     rng: np.random.Generator,
     start_state: int,
     engine: str = "auto",
-    score_fill: Optional[Callable[[int], float]] = None,
+    score_fill: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> WalkResult:
     """Run the lazy walk for a fixed step budget and return the final cell.
 
     Uniforms are drawn from rng in blocks of DEFAULT_BLOCK_SIZE rows, so the
     stream consumed is a function of steps alone — faults, engine choice,
-    and score_fill behavior never shift it.  score_fill(index) is invoked to
-    replace NaN table entries on demand; a fault without one is an error.
+    and score_fill behavior never shift it.  NaN table entries are filled on
+    demand, in place: when the start cell is NaN or the walk proposes a NaN
+    cell, score_fill(cells) gets the int64 flat indices of the NaN cells in
+    that cell's fill window (see the module docstring) and returns their
+    scores, which run_walk writes into table.  faults counts these fills.
+    A fault without score_fill, or a fill that leaves the cell NaN, raises
+    SamplerFailure.
     """
     if engine not in ("auto", "python", "compiled"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -180,21 +206,22 @@ def run_walk(
             raise SamplerFailure(f"compiled walk engine unavailable: {reason}")
         else:
             engine = "python"
+    m, d = grid.cells_per_axis, grid.d
+    faults = 0
     if math.isnan(table[start_state]):
         if score_fill is None:
             raise SamplerFailure("walk started on an unevaluated cell with no score_fill")
-        table[start_state] = score_fill(start_state)
+        _fill(table, start_state, m, score_fill)
+        faults += 1
 
     state = int(start_state)
     coords = np.array(grid.unravel(state), dtype=np.int64)
     strides = grid._strides
-    m, d = grid.cells_per_axis, grid.d
     if compiled is not None:
         kernel = _compiled_binding(compiled, table, m, d, strides, coords)
     else:
         def kernel(state, U, offset):
             return _walk_block_python(table, m, d, strides, state, coords, U[offset:])
-    faults = 0
     remaining = int(steps)
     while remaining > 0:
         rows = min(remaining, DEFAULT_BLOCK_SIZE)
@@ -209,7 +236,7 @@ def run_walk(
                     raise SamplerFailure(
                         "walk reached an unevaluated cell and no score_fill was provided"
                     )
-                table[fault] = score_fill(fault)
+                _fill(table, fault, m, score_fill)
                 faults += 1
         remaining -= rows
     return WalkResult(state=int(state), steps=int(steps), faults=faults, engine=engine)

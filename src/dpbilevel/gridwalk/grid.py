@@ -52,8 +52,9 @@ class GridSpec:
     def ravel(self, coords) -> int:
         return int(np.dot(np.asarray(coords, dtype=np.int64), self._strides))
 
-    def center(self, flat: int) -> np.ndarray:
-        coords = np.array(self.unravel(flat), dtype=float)
+    def centers(self, flat) -> np.ndarray:
+        """Centers of the cells at flat indices, shape flat.shape + (d,)."""
+        coords = np.stack(np.unravel_index(flat, (self.cells_per_axis,) * self.d), axis=-1)
         return self.cube_low + (coords + 0.5) * self.gamma
 
     def centers_all(self) -> np.ndarray:
@@ -68,17 +69,6 @@ class GridSpec:
         coords = np.floor((np.asarray(theta, dtype=float) - self.cube_low) / self.gamma)
         coords = np.clip(coords, 0, self.cells_per_axis - 1).astype(np.int64)
         return self.ravel(coords)
-
-    def neighbors(self, flat: int):
-        """Flat indices of the up-to-2d axis neighbors."""
-        coords = np.array(self.unravel(flat), dtype=np.int64)
-        out = []
-        for axis in range(self.d):
-            for sgn in (-1, 1):
-                c = coords[axis] + sgn
-                if 0 <= c < self.cells_per_axis:
-                    out.append(flat + sgn * int(self._strides[axis]))
-        return out
 
 
 def _make(domain: Domain, cells_per_axis: int) -> GridSpec:

@@ -19,8 +19,10 @@ plan_sampler:
   budget: a walk that long costs more than the enumeration it approximates.
   In d <= 3 the budget exceeds every state count up to WALK_STATE_CAP.
 * walk — the lazy Metropolis chain run for its closed-form step budget,
-  scoring cells lazily as it first touches them.  Chosen only when that
-  budget is below the state count (large grids in d >= 4) or when forced.
+  scoring cells lazily: the first touch of a cell scores the unscored cells
+  of its fill window (see engine.run_walk) in one batch.  Chosen only when
+  that budget is below the state count (large grids in d >= 4) or when
+  forced.
 
 Grid attempts finish by proposing a uniform point theta in the landed cell
 and accepting with exp(-f'(theta)) / (e * exp(-f'(center))); a rejection
@@ -223,7 +225,7 @@ def sample_logconcave_detailed(
                     table, grid, plan.walk_steps, gen,
                     start_state=grid.cell_of(domain.center),
                     engine=engine,
-                    score_fill=lambda i: ext.eval(grid.center(i)),
+                    score_fill=lambda idx: ext.evaluate_many(grid.centers(idx)),
                 )
                 cell, used_engine = result.state, result.engine
                 faults += result.faults

@@ -74,7 +74,7 @@ def solve_lower_level(
         return _solve_point(p, Z, x, alpha, a, start)
     if len(x) == 1:
         # the point loop gives a batch of one the same bits at a fraction of
-        # the per-sweep overhead; walk faults score one point at a time
+        # the per-sweep overhead; point scores and one-cell walk fills are batches of one
         res = _solve_point(p, Z, x[0], alpha, a, start.reshape(-1, p.d_y)[0], row=0)
         return InnerSolveResult(y=res.y[None], certified_error=np.array([res.certified_error]),
                                 iterations=res.iterations)

@@ -33,6 +33,17 @@ def finite_diff_phi_gradient(p, Z, x, h, zeta, a) -> np.ndarray:
     return grad
 
 
+def neighbors(grid, flat: int) -> list:
+    """Flat indices of the up-to-2d axis neighbors of cell flat."""
+    coords = grid.unravel(flat)
+    out = []
+    for axis in range(grid.d):
+        for sgn in (-1, 1):
+            if 0 <= coords[axis] + sgn < grid.cells_per_axis:
+                out.append(flat + sgn * int(grid._strides[axis]))
+    return out
+
+
 def grid_lipschitz(scores, grid) -> float:
     """Empirical sup-norm Lipschitz constant of a score table on its grid.
 
@@ -40,7 +51,7 @@ def grid_lipschitz(scores, grid) -> float:
     """
     worst = 0.0
     for i in range(grid.state_count):
-        for j in grid.neighbors(i):
+        for j in neighbors(grid, i):
             worst = max(worst, abs(scores[i] - scores[j]))
     return worst / grid.gamma
 
@@ -108,7 +119,7 @@ def transition_matrix_loop(f_values, grid) -> np.ndarray:
     P = np.zeros((n, n))
     base = 1.0 / (4.0 * grid.d)
     for x in range(n):
-        for y in grid.neighbors(x):
+        for y in neighbors(grid, x):
             P[x, y] = base * math.exp(min(0.0, f[x] - f[y]))
         P[x, x] = 1.0 - P[x].sum()
     return P
@@ -128,7 +139,7 @@ def cut_conductance(P, pi, grid) -> float:
     flow = np.zeros(len(ids))
     for i in range(n):
         mass += np.where(inside[i], pi[i], 0.0)
-        for j in grid.neighbors(i):
+        for j in neighbors(grid, i):
             flow += np.where(inside[i] & ~inside[j], pi[i] * P[i, j], 0.0)
     valid = (mass > 0) & (mass <= 0.5 + 1e-15)
     if not np.any(valid):

@@ -3,7 +3,9 @@
 import itertools
 import math
 import shutil
+import signal
 import sys
+from contextlib import contextmanager
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from dpbilevel.gridwalk import engine as engine_module
 from dpbilevel.gridwalk.engine import available_engines, run_walk
 from dpbilevel.gridwalk.grid import grid_with_cells
 from dpbilevel.problem import Domain
+from oracles import neighbors
 
 HAS_COMPILED = "compiled" in available_engines()
 
@@ -79,7 +82,7 @@ def test_step_corner_rejects_off_cube_proposals(engine):
     ]
     moved = [s for s in outcomes if s != 0]
     assert len(moved) == 2  # two of four proposals leave the cube
-    assert sorted(moved) == sorted(grid.neighbors(0))
+    assert sorted(moved) == sorted(neighbors(grid, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +111,7 @@ def run_pair(engine, seed=7, steps=4000, fill_nan=False, d=2):
         table[start] = scores[start]  # keep the start cell evaluated
 
         def score_fill(idx):
-            return float(scores[idx])
+            return scores[idx]
 
     return run_walk(table, grid, steps, np.random.default_rng(seed), start,
                     engine=engine, score_fill=score_fill)
@@ -222,31 +225,114 @@ def test_kernel_source_ships_and_cython_is_not_required():
     assert not [r for r in requires if r.lower().startswith("cython")]
 
 
-@pytest.mark.parametrize("engine",
-                         ["python"] + (["compiled"] if HAS_COMPILED else []))
+@ENGINES
 def test_faults_do_not_shift_the_stream(engine, small_blocks):
-    clean = run_pair(engine)
-    lazy = run_pair(engine, fill_nan=True)
-    assert lazy.faults > 0
-    assert lazy.state == clean.state
+    for d in (1, 2, 3):
+        clean = run_pair(engine, d=d)
+        lazy = run_pair(engine, d=d, fill_nan=True)
+        assert lazy.faults > 0
+        assert lazy.state == clean.state
+
+
+@ENGINES
+@pytest.mark.parametrize("window", [None, 4])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_each_fill_scores_the_nan_cells_of_one_window(engine, monkeypatch, d, window):
+    if window is not None:  # 4 cuts run_pair's rows of 81, 9 and 5 cells unevenly
+        monkeypatch.setattr(engine_module, "_FILL_WINDOW", window)
+    width = engine_module._FILL_WINDOW
+    grid = grid_with_cells(box(d), CELLS[d])
+    m = grid.cells_per_axis
+    scores = np.random.default_rng(3).normal(size=grid.state_count)
+    table = np.full(grid.state_count, np.nan)
+    table[::2] = scores[::2]
+    calls = []
+
+    def score_fill(idx):
+        assert idx.dtype == np.int64 and idx.size > 0
+        windows = {(i // m, i % m // width) for i in idx.tolist()}
+        assert len(windows) == 1
+        (row, k), = windows
+        low = row * m + k * width
+        high = min(low + width, (row + 1) * m)
+        # exactly the cells of the window that are still unscored
+        np.testing.assert_array_equal(idx, low + np.flatnonzero(np.isnan(table[low:high])))
+        calls.append(idx)
+        return scores[idx]
+
+    start = 63  # unscored, and in d = 1 the last cell of its 64-cell window
+    result = run_walk(table, grid, 3000, np.random.default_rng(9), start,
+                      engine=engine, score_fill=score_fill)
+    scored = np.concatenate(calls)
+    assert len(np.unique(scored)) == len(scored)  # no cell is scored twice
+    assert start in calls[0]
+    assert result.faults == len(calls) > 1
+    np.testing.assert_array_equal(table[scored], scores[scored])
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the main thread after seconds, like a deadline."""
+    def expire(signum, frame):
+        raise TimeoutError(f"walk still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@ENGINES
+@pytest.mark.parametrize("start_scored", [True, False])
+def test_nan_fill_fails_after_one_fill(engine, start_scored):
+    grid = grid_with_cells(box(1), 8)
+    table = np.full(8, np.nan)
+    if start_scored:
+        table[4] = 0.0
+    calls = []
+
+    def nan_fill(idx):
+        calls.append(idx)
+        return np.full(idx.shape, np.nan)
+
+    faulting = "[35]" if start_scored else "4"
+    with time_limit(5.0), pytest.raises(SamplerFailure, match=rf"cell {faulting} unevaluated"):
+        run_walk(table, grid, 10_000, np.random.default_rng(0), 4,
+                 engine=engine, score_fill=nan_fill)
+    assert len(calls) == 1
 
 
 def test_fault_without_fill_raises():
     grid = grid_with_cells(box(1), 8)
-    table = np.full(8, np.nan)
-    table[4] = 0.0
-    with pytest.raises(SamplerFailure):
-        run_walk(table, grid, 200, np.random.default_rng(0), 4,
-                 engine="python")
+    for engine, start_scored in itertools.product(available_engines(), (True, False)):
+        table = np.full(8, np.nan)
+        if start_scored:
+            table[4] = 0.0
+        with pytest.raises(SamplerFailure, match="unevaluated cell"):
+            run_walk(table, grid, 200, np.random.default_rng(0), 4,
+                     engine=engine)
 
 
 def test_nan_start_is_filled():
     grid = grid_with_cells(box(1), 8)
-    table = np.full(8, np.nan)
-    result = run_walk(table, grid, 50, np.random.default_rng(1), 3,
-                      engine="python", score_fill=lambda i: 0.0)
-    assert result.faults >= 0
-    assert 0 <= result.state < 8
+    for engine in available_engines():
+        table = np.full(8, np.nan)
+        result = run_walk(table, grid, 50, np.random.default_rng(1), 3,
+                          engine=engine, score_fill=lambda idx: np.zeros(idx.shape))
+        # the start cell's window is its whole 8-cell row: one fill scores it
+        assert result.faults == 1
+        assert not np.isnan(table).any()
+        assert 0 <= result.state < 8
+
+
+def test_fill_must_return_one_score_per_cell():
+    grid = grid_with_cells(box(1), 8)
+    with pytest.raises(ValueError, match="score_fill returned shape"):
+        run_walk(np.full(8, np.nan), grid, 50, np.random.default_rng(1), 3,
+                 engine="python", score_fill=lambda idx: 0.0)
 
 
 def test_engine_argument_validation():

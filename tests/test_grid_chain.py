@@ -35,6 +35,7 @@ from oracles import (
     dense_reducible,
     grid_lipschitz,
     lambda_star_nonzero,
+    neighbors,
     symmetrized_bands_nonzero,
     symmetrized_lambda2_nonzero,
     transition_matrix_loop,
@@ -77,19 +78,32 @@ def test_grid_size_cap():
 def test_cell_center_roundtrip():
     grid = grid_with_cells(box(2), 5)
     for state in (0, 7, 24):
-        center = grid.center(state)
+        center = grid.centers(state)
+        assert center.shape == (2,)
         assert grid.cell_of(center) == state
     all_centers = grid.centers_all()
     assert all_centers.shape == (25, 2)
-    np.testing.assert_allclose(all_centers[7], grid.center(7))
+    np.testing.assert_array_equal(all_centers[7], grid.centers(7))
+
+
+@pytest.mark.parametrize("d,m", [(1, 65), (2, 23), (3, 7)])
+def test_centers_of_indices_equal_centers_all(d, m):
+    # a walk fill scores grid.centers(cells); enumeration scores centers_all()
+    domain = Domain("box", np.linspace(-0.3, 0.4, d), half_widths=np.linspace(0.7, 1.3, d))
+    grid = grid_with_cells(domain, m)
+    flat = np.random.default_rng(d).permutation(grid.state_count)[:40]
+    assert grid.centers(flat).shape == (40, d)
+    np.testing.assert_array_equal(grid.centers(flat), grid.centers_all()[flat])
+    everything = np.arange(grid.state_count)
+    np.testing.assert_array_equal(grid.centers(everything), grid.centers_all())
 
 
 def test_neighbors_at_corner_and_interior():
     grid = grid_with_cells(box(2), 3)
     # corner cell (0,0) has exactly two in-cube neighbors
-    assert sorted(grid.neighbors(0)) == [1, 3]
+    assert sorted(neighbors(grid, 0)) == [1, 3]
     # interior cell (1,1) = state 4 has all four
-    assert sorted(grid.neighbors(4)) == [1, 3, 5, 7]
+    assert sorted(neighbors(grid, 4)) == [1, 3, 5, 7]
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ def test_walk_branch_matches_grid_law(engine):
     cells = np.array([
         run_walk(np.full(grid.state_count, np.nan), grid, 1500, gen,
                  start_state=grid.cell_of(domain.center), engine=engine,
-                 score_fill=lambda i: ext.eval(grid.center(i))).state
+                 score_fill=lambda idx: ext.evaluate_many(grid.centers(idx))).state
         for _ in range(800)
     ])
     law = grid_law(ext, grid)
