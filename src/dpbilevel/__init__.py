@@ -25,7 +25,6 @@ from .mechanisms import (
     PrivacyBudget,
     dp_second_order_gd,
     exponential_mechanism,
-    gaussian_noise,
     grad_norm_exp_mechanism,
     mechanism_grid_law,
     regularized_exp_mechanism,
@@ -69,7 +68,6 @@ __all__ = [
     "empirical_sensitivity",
     "exact_dp_audit",
     "exponential_mechanism",
-    "gaussian_noise",
     "grad_norm_exp_mechanism",
     "make_generator",
     "make_instance",

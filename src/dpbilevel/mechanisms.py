@@ -81,6 +81,8 @@ class MechanismResult:
     x_out: np.ndarray
     budget_spent: PrivacyBudget
     ledger: dict = field(compare=False)
+    #: descent releases only: the iterates x_0..x_pick, shape (pick + 1, d_x),
+    #: ending at x_out; steps after the pick are never run
     trajectory: Optional[np.ndarray] = None
 
     def to_json(self) -> str:
@@ -109,21 +111,6 @@ def _child_seed(seed: Optional[int], gen: np.random.Generator, tag: str) -> int:
     if seed is not None:
         return derive_seed(seed, tag)
     return int(gen.integers(2**63))
-
-
-def gaussian_noise(v: np.ndarray, sigma: float, rng: RngLike) -> np.ndarray:
-    """v plus i.i.d. zero-mean Gaussian noise of scale sigma per coordinate.
-
-    sigma = 0 returns v unchanged without consuming randomness, so noiseless
-    control runs match plain gradient descent draw-for-draw.
-    """
-    if sigma < 0:
-        raise ConfigurationError("sigma must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    if sigma == 0.0:
-        return v
-    _, gen = seed_and_generator(rng)
-    return v + sigma * gen.standard_normal(v.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +374,9 @@ def _descent_overrides(overrides: Optional[dict]) -> dict:
     unknown = set(ov) - _GD_OVERRIDE_KEYS
     if unknown:
         raise ConfigurationError(f"unknown override keys: {sorted(unknown)}")
+    for k, v in ov.items():
+        if k != "unsafe" and not math.isfinite(float(v)):
+            raise ConfigurationError(f"override {k!r} must be finite, got {v!r}")
     return {k: (bool(v) if k == "unsafe" else int(v) if k == "T" else float(v))
             for k, v in ov.items()}
 
@@ -479,7 +469,8 @@ def dp_second_order_gd(
     from the previous step), form the hypergradient, perturb it with
     isotropic Gaussian noise of scale sigma, step with rate eta, and project
     back onto the feasible set.  The output is a uniformly chosen iterate
-    x_1..x_T; the full trajectory rides along.
+    x_1..x_T.  Only the `pick` steps that reach it are run, and the
+    trajectory x_0..x_pick rides along.
 
     (eps, delta)-DP via the Gaussian mechanism (per-step query sensitivity
     4K/n) and advanced composition, provided sigma meets its schedule —
@@ -495,20 +486,24 @@ def dp_second_order_gd(
     schedule = _gd_schedule(p, Z, a, eps, delta, ov)
     T, eta, alpha, sigma = (schedule[k] for k in ("T", "eta", "alpha", "sigma"))
 
-    x = p.domain_x.project(np.asarray(
+    # The noise rows come from one draw: standard_normal((T, d_x)) yields the
+    # same bits as T per-step draws, so the stream, and with it the pick,
+    # stays as if every step had run.  Only steps up to the pick are taken.
+    noise = sigma * gen.standard_normal((T, p.d_x)) if sigma > 0.0 else None
+    pick = int(gen.integers(1, T + 1))
+    trajectory = np.empty((pick + 1, p.d_x))
+    x = trajectory[0] = p.domain_x.project(np.asarray(
         p.domain_x.center if x0 is None else x0, dtype=float))
-    trajectory = np.empty((T + 1, p.d_x))
-    trajectory[0] = x
     warm = None
-    for t in range(T):
+    for t in range(pick):
         res = solve_lower_level(p, Z, x, alpha, a, warm_start=warm)
         warm = res.y
         query = approx_hypergradient(p, Z, x, res.y).vector
-        noisy = gaussian_noise(query, sigma, gen)
-        x = p.domain_x.project(x - eta * noisy)
+        if noise is not None:
+            query = query + noise[t]
+        x = p.domain_x.project(x - eta * query)
         trajectory[t + 1] = x
-    pick = int(gen.integers(1, T + 1))
-    x_out = trajectory[pick].copy()
+    x_out = x.copy()
 
     ledger = {
         "mechanism": "dp_second_order_gd",
@@ -558,6 +553,7 @@ def warm_start(
         raise ConfigurationError(
             "delta must lie in (0, 1): the descent stage requires delta > 0"
         )
+    stage_b_ov = _descent_overrides(stage_b_overrides)
     seed, gen = seed_and_generator(rng)
     seed_a = _child_seed(seed, gen, "stage_a")
     seed_b = _child_seed(seed, gen, "stage_b")
@@ -566,7 +562,7 @@ def warm_start(
 
     der = derive_constants(a, Z.n)
     gap = der.Psi * p.d_x / (eps * Z.n)
-    ov = dict(stage_b_overrides or {})
+    ov = dict(stage_b_ov)
     ov.setdefault("gap_upper_bound", gap)
     stage_b = dp_second_order_gd(
         p, Z, a, eps / 2.0, delta / 2.0, x0=stage_a.x_out, overrides=ov,
@@ -580,7 +576,7 @@ def warm_start(
         "delta": float(delta),
         "xi": float(xi),
         "seed": seed,
-        "stage_b_overrides": _descent_overrides(stage_b_overrides),
+        "stage_b_overrides": stage_b_ov,
         "gap_upper_bound": float(gap),
         "stage_budgets_spent": [[eps / 2.0, 0.0], [eps / 2.0, delta / 2.0]],
         "stage_budgets_paper_split": [[eps / 2.0, delta / 2.0],

@@ -9,7 +9,15 @@ import scipy.sparse.csgraph
 
 from dpbilevel.errors import ConfigurationError
 from dpbilevel.gridwalk import chain
-from dpbilevel.inner import phi_solution_pair
+from dpbilevel.gridwalk.sampler import seed_and_generator
+from dpbilevel.hypergrad import approx_hypergradient
+from dpbilevel.inner import phi_solution_pair, solve_lower_level
+from dpbilevel.mechanisms import (
+    MechanismResult,
+    PrivacyBudget,
+    _descent_overrides,
+    _gd_schedule,
+)
 
 
 def finite_diff_phi_gradient(p, Z, x, h, zeta, a) -> np.ndarray:
@@ -231,3 +239,58 @@ def cheeger_interval(analysis) -> tuple[float, float]:
         P, pi = P[support][:, support], pi[support]
     gap = 1.0 - chain._symmetrized_lambda2(P, pi)[0] if len(pi) > 1 else 1.0
     return gap / 2.0, math.sqrt(2.0 * gap)
+
+
+def full_descent(p, Z, a, eps, delta, x0=None, overrides=None, rng=0):
+    """dp_second_order_gd as it ran every step: all T steps, then the pick.
+
+    Each step draws its own noise row, standard_normal(d_x), and skips the
+    draw at sigma = 0; the pick is drawn after the last step.  The trajectory
+    holds all of x_0..x_T.  dp_second_order_gd must release the same x_out,
+    ledger and budget and leave a passed Generator at the same position.
+    """
+    if eps <= 0:
+        raise ConfigurationError("eps must be positive")
+    if not (0.0 < delta < 1.0):
+        raise ConfigurationError("delta must lie in (0, 1)")
+    ov = _descent_overrides(overrides)
+    seed, gen = seed_and_generator(rng)
+    schedule = _gd_schedule(p, Z, a, eps, delta, ov)
+    T, eta, alpha, sigma = (schedule[k] for k in ("T", "eta", "alpha", "sigma"))
+
+    x = p.domain_x.project(np.asarray(
+        p.domain_x.center if x0 is None else x0, dtype=float))
+    trajectory = np.empty((T + 1, p.d_x))
+    trajectory[0] = x
+    warm = None
+    for t in range(T):
+        res = solve_lower_level(p, Z, x, alpha, a, warm_start=warm)
+        warm = res.y
+        query = approx_hypergradient(p, Z, x, res.y).vector
+        noisy = query if sigma == 0.0 else query + sigma * gen.standard_normal(query.shape)
+        x = p.domain_x.project(x - eta * noisy)
+        trajectory[t + 1] = x
+    pick = int(gen.integers(1, T + 1))
+    x_out = trajectory[pick].copy()
+
+    ledger = {
+        "mechanism": "dp_second_order_gd",
+        "eps": float(eps),
+        "delta": float(delta),
+        "seed": seed,
+        "x0": trajectory[0].tolist(),
+        "overrides": ov,
+        "n": Z.n,
+        "T": int(T),
+        "eta": float(eta),
+        "alpha": float(alpha),
+        "sigma": float(sigma),
+        "sigma_schedule": float(schedule["sigma_schedule"]),
+        "gap_upper_bound": float(schedule["gap_upper_bound"]),
+        "K": float(schedule["K"]),
+        "C": float(schedule["C"]),
+        "beta_phi": float(schedule["beta_phi"]),
+        "picked_iterate": pick,
+        "privacy_certified": bool(schedule["privacy_certified"]),
+    }
+    return MechanismResult(x_out, PrivacyBudget(eps, delta), ledger, trajectory)

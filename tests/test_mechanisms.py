@@ -1,10 +1,12 @@
 """Budget accounting, schedules, and replay for the private mechanisms."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from dpbilevel import mechanisms
 from dpbilevel.errors import ConfigurationError
 from dpbilevel.gridwalk import engine as engine_module
 from dpbilevel.gridwalk.evaluator import ExtendedEvaluator
@@ -17,13 +19,14 @@ from dpbilevel.mechanisms import (
     PrivacyBudget,
     dp_second_order_gd,
     exponential_mechanism,
-    gaussian_noise,
     grad_norm_exp_mechanism,
     regularized_exp_mechanism,
     replay_mechanism,
     warm_start,
 )
 from dpbilevel.problem import AssumptionConstants
+from dpbilevel.rng import make_generator
+from oracles import full_descent
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +42,7 @@ def hard():
 
 
 # ---------------------------------------------------------------------------
-# budgets and noise
+# budgets
 # ---------------------------------------------------------------------------
 
 def test_privacy_budget_validation():
@@ -48,21 +51,6 @@ def test_privacy_budget_validation():
                        (1.0, -0.1), (1.0, 1.0)]:
         with pytest.raises(ConfigurationError):
             PrivacyBudget(eps, delta)
-
-
-def test_gaussian_noise_zero_scale_skips_the_stream():
-    gen = np.random.default_rng(0)
-    v = np.array([1.0, -2.0])
-    out = gaussian_noise(v, 0.0, gen)
-    np.testing.assert_array_equal(out, v)
-    # the generator was not advanced
-    assert gen.random() == np.random.default_rng(0).random()
-
-
-def test_gaussian_noise_scales_linearly():
-    a = gaussian_noise(np.zeros(3), 1.0, 9)
-    b = gaussian_noise(np.zeros(3), 2.0, 9)
-    np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +257,111 @@ def test_gd_schedule_frozen(quad):
 
 def test_gd_trajectory_and_pick(quad):
     fx, Z = quad
-    res = dp_second_order_gd(fx.problem, Z, fx.constants,
-                             eps=1.0, delta=1e-3, overrides={"T": 5}, rng=11)
-    assert res.trajectory.shape == (6, fx.problem.d_x)
-    pick = res.ledger["picked_iterate"]
-    assert 1 <= pick <= 5
-    np.testing.assert_array_equal(res.x_out, res.trajectory[pick])
-    for row in res.trajectory:
-        assert fx.problem.domain_x.contains(row)
+    picks = []
+    for seed in (11, 0, 1, 2, 3):
+        res = dp_second_order_gd(fx.problem, Z, fx.constants, eps=1.0,
+                                 delta=1e-3, overrides={"T": 5}, rng=seed)
+        pick = res.ledger["picked_iterate"]
+        assert 1 <= pick <= 5
+        # the trajectory stops at the released iterate
+        assert res.trajectory.shape == (pick + 1, fx.problem.d_x)
+        np.testing.assert_array_equal(res.x_out, res.trajectory[pick])
+        for row in res.trajectory:
+            assert fx.problem.domain_x.contains(row)
+        picks.append(pick)
+    assert min(picks) < 5
+
+
+def test_noiseless_descent_draws_only_the_pick(quad):
+    fx, Z = quad
+    gen = np.random.default_rng(0)
+    res = dp_second_order_gd(
+        fx.problem, Z, fx.constants, eps=1.0, delta=1e-3,
+        overrides={"T": 7, "sigma": 0.0, "unsafe": True}, rng=gen)
+    ref = np.random.default_rng(0)
+    assert res.ledger["picked_iterate"] == int(ref.integers(1, 8))
+    assert gen.random() == ref.random()
+
+
+def test_descent_noise_scales_linearly(quad):
+    # one small step from the centre stays inside the ball, so the step's
+    # noise part, x_1(sigma) - x_1(0) = -eta * sigma * z, is linear in sigma
+    fx, Z = quad
+    steps = [dp_second_order_gd(
+        fx.problem, Z, fx.constants, eps=1.0, delta=1e-3,
+        overrides={"T": 1, "eta": 1e-3, "sigma": sigma, "unsafe": True},
+        rng=9).x_out for sigma in (0.0, 1.0, 2.0)]
+    assert np.all(steps[1] != steps[0])
+    np.testing.assert_allclose(steps[2] - steps[0], 2.0 * (steps[1] - steps[0]),
+                               rtol=1e-9)
+
+
+DESCENT_FAMILIES = [
+    pytest.param("quadratic", {"d_x": 1, "d_y": 2}, id="quadratic-d1"),
+    pytest.param("quadratic", {"d_x": 2, "d_y": 3}, id="quadratic-d2"),
+    pytest.param("quadratic", {"d_x": 3, "d_y": 2}, id="quadratic-d3"),
+    pytest.param("ridge", {"feature_dim": 1}, id="ridge-d1"),
+    pytest.param("ridge", {"feature_dim": 2}, id="ridge-d2"),
+    pytest.param("ridge", {"feature_dim": 3}, id="ridge-d3"),
+]
+
+
+def assert_same_release(res, ref):
+    """res is ref's release: x_out, ledger and budget bit-equal, and res's
+    trajectory is ref's up to the pick."""
+    pick = ref.ledger["picked_iterate"]
+    np.testing.assert_array_equal(res.x_out, ref.x_out)
+    assert res.ledger == ref.ledger
+    assert json.dumps(res.ledger) == json.dumps(ref.ledger)
+    assert res.budget_spent == ref.budget_spent
+    np.testing.assert_array_equal(res.trajectory, ref.trajectory[:pick + 1])
+
+
+@pytest.mark.parametrize("noiseless", [False, True], ids=["schedule", "sigma0"])
+@pytest.mark.parametrize("family, params", DESCENT_FAMILIES)
+def test_descent_equals_the_full_loop(family, params, noiseless):
+    fx = make_instance(family, **params)
+    p, a = fx.problem, fx.constants
+    ov = {"sigma": 0.0, "unsafe": True} if noiseless else None
+    stopped_early = False
+    for seed in range(4):
+        Z = fx.sample_dataset(1000, seed=seed)
+        res = dp_second_order_gd(p, Z, a, 1.0, 1e-3, overrides=ov, rng=seed)
+        ref = full_descent(p, Z, a, 1.0, 1e-3, overrides=ov, rng=seed)
+        assert_same_release(res, ref)
+        stopped_early |= ref.ledger["picked_iterate"] < ref.ledger["T"]
+        # a passed Generator ends where the full loop leaves it
+        gen, gen_ref = make_generator(seed), make_generator(seed)
+        res = dp_second_order_gd(p, Z, a, 1.0, 1e-3, overrides=ov, rng=gen)
+        ref = full_descent(p, Z, a, 1.0, 1e-3, overrides=ov, rng=gen_ref)
+        assert_same_release(res, ref)
+        assert gen.random() == gen_ref.random()
+    assert stopped_early
+
+
+@pytest.mark.parametrize("family, params", DESCENT_FAMILIES)
+def test_warm_start_equals_the_full_loop(monkeypatch, family, params):
+    fx = make_instance(family, **params)
+    p, a = fx.problem, fx.constants
+    # stage B's scheduled T is 1-4 here; a longer run lets the pick fall short
+    stage_b = {"T": 12}
+    runs = []
+    for seed in range(3):
+        Z = fx.sample_dataset(1000, seed=seed)
+        runs.append((Z, seed, warm_start(p, Z, a, 1.0, 1e-3, 0.5, rng=seed,
+                                         stage_b_overrides=stage_b)))
+    monkeypatch.setattr(mechanisms, "dp_second_order_gd", full_descent)
+    picks = []
+    for Z, seed, res in runs:
+        ref = warm_start(p, Z, a, 1.0, 1e-3, 0.5, rng=seed,
+                         stage_b_overrides=stage_b)
+        np.testing.assert_array_equal(res.x_out, ref.x_out)
+        assert json.dumps(res.ledger) == json.dumps(ref.ledger)
+        assert res.budget_spent == ref.budget_spent
+        pick = ref.ledger["stage_b"]["picked_iterate"]
+        np.testing.assert_array_equal(res.trajectory, ref.trajectory[:pick + 1])
+        picks.append(pick)
+    assert min(picks) < 12
 
 
 def test_gd_override_validation(quad):
@@ -291,6 +376,18 @@ def test_gd_override_validation(quad):
     with pytest.raises(ConfigurationError):
         dp_second_order_gd(fx.problem, Z, fx.constants,
                            overrides={"T": 2, "sigma": 1.0}, **base)
+
+
+@pytest.mark.parametrize("key", ["T", "eta", "alpha", "sigma", "gap_upper_bound"])
+def test_gd_non_finite_override_is_a_configuration_error(quad, key):
+    fx, Z = quad
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            dp_second_order_gd(fx.problem, Z, fx.constants, 1.0, 1e-3,
+                               overrides={key: value, "unsafe": True}, rng=0)
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            warm_start(fx.problem, Z, fx.constants, 1.0, 1e-3, 0.2, rng=0,
+                       stage_b_overrides={key: value, "unsafe": True})
 
 
 def test_gd_unsafe_sigma_is_uncertified(quad):
