@@ -16,7 +16,7 @@ from .errors import (
     SamplerFailure,
     SizeCapError,
 )
-from .hypergrad import Hypergradient, approx_hypergradient
+from .hypergrad import approx_hypergradient
 from .inner import phi_solution_pair, solve_lower_level
 from .instances import InstanceFixture, make_instance
 from .mechanisms import (
@@ -53,7 +53,6 @@ __all__ = [
     "Dataset",
     "DerivedConstants",
     "Domain",
-    "Hypergradient",
     "InstanceFixture",
     "K_REG",
     "MechanismResult",

@@ -185,7 +185,6 @@ def verify_sampler_lemmas(
     zeta_values: np.ndarray,
     grid: GridSpec,
     accuracy: float = 0.1,
-    alpha_lip: Optional[float] = None,
 ) -> list[AuditReport]:
     """Exact finite-chain verification of the three sampler lemmas.
 
@@ -202,7 +201,7 @@ def verify_sampler_lemmas(
        that accuracy (None if it accepts none), which shows the budget's
        slack.
 
-    alpha_lip defaults to the empirical grid Lipschitz constant of the
+    The budget's alpha_lip is the empirical grid Lipschitz constant of the
     perturbed scores (max neighbor difference over cell width).
     """
     f = np.asarray(f_values, dtype=float)
@@ -238,10 +237,9 @@ def verify_sampler_lemmas(
         {"zeta_max": zeta_max}, grid.state_count,
     )
 
-    if alpha_lip is None:
-        F = f_pert.reshape((grid.cells_per_axis,) * grid.d)
-        alpha_lip = max(float(np.abs(np.diff(F, axis=k)).max(initial=0.0))
-                        for k in range(grid.d)) / grid.gamma
+    F = f_pert.reshape((grid.cells_per_axis,) * grid.d)
+    alpha_lip = max(float(np.abs(np.diff(F, axis=k)).max(initial=0.0))
+                    for k in range(grid.d)) / grid.gamma
     t = mixing_time_bound(alpha_lip, grid.tau, grid.d, accuracy, zeta_max)
     mixing = linf_mixing_distance(
         perturbed.transition, perturbed.stationary, t

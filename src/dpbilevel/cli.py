@@ -414,7 +414,7 @@ def run_audits(config: ExperimentConfig) -> dict:
 
     def step_query(ds):
         res = solve_lower_level(p, ds, x_probe, alpha_step, a)
-        return approx_hypergradient(p, ds, x_probe, res.y).vector
+        return approx_hypergradient(p, ds, x_probe, res.y)
 
     reports.append(empirical_sensitivity(
         step_query, Z, candidates, indices, 4.0 * der.K / n,

@@ -26,7 +26,7 @@ pi-symmetrized kernel; it answers only when that bound is at most
 CERTIFIED_FLOOR, below the exact path's own rounding.  The bound holds for
 the reversible chain the scores define, i.e. for P in detailed balance with
 pi up to rounding; any other input is declined.  Otherwise the exact path
-takes P^t by matrix powers or one dense eigendecomposition, and stays the
+takes P^t by repeated squaring, which needs no reversibility, and stays the
 oracle the certified path is tested against.
 
 lambda_2 does not depend on t, and callers ask about one chain at several
@@ -56,9 +56,6 @@ from .grid import EXACT_STATE_CAP, GridSpec
 K_MIX = 64
 #: states above which exhaustive conductance enumeration is refused
 CONDUCTANCE_STATE_CAP = 18
-#: states above which the exact mixing distance takes P^t through an
-#: eigendecomposition instead of repeated squaring
-SPECTRAL_STATE_THRESHOLD = 512
 #: largest mixing distance the certified path returns; the exact path's
 #: rounding floor lies around 1e-14 to 1e-11
 CERTIFIED_FLOOR = 1e-12
@@ -317,8 +314,7 @@ def conductance_exact(analysis: ChainAnalysis) -> float:
     n = analysis.grid.state_count
     if n > CONDUCTANCE_STATE_CAP:
         raise SizeCapError(
-            f"{n} states exceed the conductance enumeration cap {CONDUCTANCE_STATE_CAP}; "
-            "use the Cheeger interval from the spectral gap instead"
+            f"{n} states exceed the conductance enumeration cap {CONDUCTANCE_STATE_CAP}"
         )
     pi = analysis.stationary
     Q = pi[:, None] * analysis.transition.toarray()  # flow matrix, entries >= 0
@@ -374,37 +370,19 @@ def linf_mixing_distance(P: scipy.sparse.csr_array, pi: np.ndarray, t: int) -> f
     path's rounding floor; it reads only P's stored entries.
     lambda* does not depend on t, and its banded eigensolve is memoized, so
     asking the same P and pi at several t solves once.  Otherwise the result
-    is exact, on P taken dense.  Small chains take P^t by binary
-    powering with rows renormalized after every multiply to keep
-    floating-point drift out of the log-ratio metric.  Above
-    SPECTRAL_STATE_THRESHOLD states, the power is taken through the
-    eigendecomposition of the pi-symmetrized kernel instead — the chain is
-    reversible, so this is exact up to one dense solve — because repeated
-    squaring at a large t costs dozens of dense multiplies.
+    is exact: P^t by binary powering on P taken dense, with rows
+    renormalized after every multiply to keep floating-point drift out of
+    the log-ratio metric.
     """
     bound = _certified_distance(P, pi, t)
     if bound <= CERTIFIED_FLOOR:
         return bound
-    return _exact_distance(P, pi, t, SPECTRAL_STATE_THRESHOLD)
+    return _exact_distance(P, pi, t)
 
 
-def _exact_distance(
-    P: scipy.sparse.csr_array, pi: np.ndarray, t: int, spectral_threshold: int
-) -> float:
+def _exact_distance(P: scipy.sparse.csr_array, pi: np.ndarray, t: int) -> float:
     """linf_mixing_distance without the certified path, on P taken dense."""
     P = P.toarray()
-    n = P.shape[0]
-    if n > spectral_threshold and np.all(pi > 0):
-        root = np.sqrt(pi)
-        S = (root[:, None] / root[None, :]) * P
-        lam, V = np.linalg.eigh((S + S.T) / 2.0)
-        lam = np.clip(lam, -1.0, 1.0)
-        lam_t = np.where(t % 2 == 0, 1.0, np.sign(lam)) * np.abs(lam) ** float(t)
-        R = (root[None, :] / root[:, None]) * ((V * lam_t) @ V.T)
-        R /= R.sum(axis=1, keepdims=True)
-        if np.any(R <= 0):
-            return math.inf
-        return float(np.abs(np.log(R) - np.log(pi)[None, :]).max())
 
     def _norm(M):
         return M / M.sum(axis=1, keepdims=True)

@@ -181,21 +181,18 @@ def sample_logconcave_detailed(
     xi: float,
     rng: Union[int, np.random.Generator],
     force_walk: bool = False,
-    plan: Optional[SamplerPlan] = None,
     engine: str = "auto",
 ) -> SampleDetail:
     """Draw one in-body point whose law is within 2*zeta + xi of exp(-f)/Z.
 
-    The plan comes from plan_sampler on the cube extension unless one is
-    given; force_walk is passed on to it.  engine picks the walk kernel
-    (see run_walk).  Raises SamplerFailure after RESTART_CAP rejected
-    attempts.
+    The plan comes from plan_sampler on the cube extension; force_walk is
+    passed on to it.  engine picks the walk kernel (see run_walk).  Raises
+    SamplerFailure after RESTART_CAP rejected attempts.
     """
     _, gen = seed_and_generator(rng)
     ext = ExtendedEvaluator(evaluator, domain, L_lip2)
-    if plan is None:
-        plan = plan_sampler(domain, ext.alpha_lip, xi, ext.zeta_bound,
-                            force_walk=force_walk)
+    plan = plan_sampler(domain, ext.alpha_lip, xi, ext.zeta_bound,
+                        force_walk=force_walk)
 
     d = domain.dim
     cube_low = np.asarray(domain.center, dtype=float) - plan.tau / 2.0

@@ -14,35 +14,28 @@ routines and arguments scipy.linalg.cho_factor/cho_solve use, without their
 per-call wrapping, which dominates at the small d_y of these problems.  A
 stack of points, x (B, d_x) and y (B, d_y), takes one batched np.linalg
 Cholesky factorization as the definiteness check and one batched solve,
-and returns a (B, d_x) vector and (B,) residuals.
+and returns a (B, d_x) stack of estimates.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import AssumptionViolationError
-from .problem import BilevelProblem, Dataset, _row_norms
-
-
-@dataclass(frozen=True)
-class Hypergradient:
-    vector: np.ndarray
-    linear_solve_residual: float | np.ndarray
+from .problem import BilevelProblem, Dataset
 
 
 def approx_hypergradient(
     p: BilevelProblem, Z: Dataset, x: np.ndarray, y: np.ndarray
-) -> Hypergradient:
-    """Implicit-gradient estimate at (x, y), exact at y = y*(x)."""
+) -> np.ndarray:
+    """Implicit-gradient estimate at (x, y), exact at y = y*(x).
+
+    Returns the (d_x,) vector, or a (B, d_x) stack for stacked x and y.
+    """
     if np.ndim(x) == 2:
         if len(x) == 1:  # the LAPACK point path is about twice as fast as a stack of one
-            hg = approx_hypergradient(p, Z, x[0], y[0])
-            return Hypergradient(hg.vector[None], np.array([hg.linear_solve_residual]))
+            return approx_hypergradient(p, Z, x[0], y[0])[None]
         return _hypergradient_stack(p, Z, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     gx = np.asarray(p.grad_f_x(x, y, Z), dtype=float)
     gy = np.asarray(p.grad_f_y(x, y, Z), dtype=float)
@@ -61,11 +54,10 @@ def approx_hypergradient(
     w, info = dpotrs(factor, gy, lower=0)
     if info != 0:
         raise RuntimeError(f"dpotrs rejected its argument {-info}")
-    r = Hyy @ w - gy
-    return Hypergradient(vector=gx - Hxy @ w, linear_solve_residual=math.sqrt(r.dot(r)))
+    return gx - Hxy @ w
 
 
-def _hypergradient_stack(p, Z, x, y) -> Hypergradient:
+def _hypergradient_stack(p, Z, x, y) -> np.ndarray:
     gx = p.batch_call("grad_f_x", x, y, Z)
     gy = p.batch_call("grad_f_y", x, y, Z)
     Hxy = p.batch_call("hess_g_xy", x, y, Z)
@@ -81,8 +73,7 @@ def _hypergradient_stack(p, Z, x, y) -> Hypergradient:
             f"averaged hess_g_yy is not positive definite at row {row}") from None
     _check_finite(gy)
     w = np.linalg.solve(Hyy, gy[..., None])
-    r = (Hyy @ w)[..., 0] - gy
-    return Hypergradient(vector=gx - (Hxy @ w)[..., 0], linear_solve_residual=_row_norms(r))
+    return gx - (Hxy @ w)[..., 0]
 
 
 def _check_finite(a: np.ndarray) -> None:

@@ -24,17 +24,17 @@ seed):
   bound the first stage guarantees.
 
 Every result carries a ledger sufficient to replay it bit-for-bit
-(replay_mechanism) and serializes to JSON.  MECHANISMS, at the bottom, is
-the one place a mechanism's name maps to the keywords its ledger records
-(which replay and the CLI pass back in) and, for the samplers, to the score
-whose exact grid law the audits check (mechanism_grid_law).  A score is one
+(replay_mechanism); its ledger is plain JSON, and replaying from the parsed
+ledger is bit-identical too.  MECHANISMS, at the bottom, is the one place a
+mechanism's name maps to the keywords its ledger records (which replay and
+the CLI pass back in) and, for the samplers, to the score whose exact grid
+law the audits check (mechanism_grid_law).  A score is one
 batch function of the points (an Evaluator); the sampler's walk scores a
 single point as a batch of one.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -84,26 +84,6 @@ class MechanismResult:
     #: descent releases only: the iterates x_0..x_pick, shape (pick + 1, d_x),
     #: ending at x_out; steps after the pick are never run
     trajectory: Optional[np.ndarray] = None
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "x_out": np.asarray(self.x_out, dtype=float).tolist(),
-            "budget_spent": self.budget_spent.as_dict(),
-            "ledger": self.ledger,
-            "trajectory": None if self.trajectory is None
-            else np.asarray(self.trajectory, dtype=float).tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "MechanismResult":
-        data = json.loads(text)
-        return cls(
-            x_out=np.array(data["x_out"], dtype=float),
-            budget_spent=PrivacyBudget(**data["budget_spent"]),
-            ledger=data["ledger"],
-            trajectory=None if data.get("trajectory") is None
-            else np.array(data["trajectory"], dtype=float),
-        )
 
 
 def _child_seed(seed: Optional[int], gen: np.random.Generator, tag: str) -> int:
@@ -166,9 +146,25 @@ def _grad_norm_evaluator(
 
     def evaluate_many(X: np.ndarray) -> np.ndarray:
         res = solve_lower_level(p, Z, X, alpha_inner, a)
-        return coeff * _row_norms(approx_hypergradient(p, Z, X, res.y).vector)
+        return coeff * _row_norms(approx_hypergradient(p, Z, X, res.y))
 
     return Evaluator(evaluate_many, zeta_bound=zeta, alpha_lip=L_lip2 * math.sqrt(p.d_x))
+
+
+def _check_inputs(eps: float, xi: Optional[float] = None,
+                  k_reg: Optional[float] = None) -> None:
+    """Typed errors for the numeric inputs the mechanisms share.
+
+    eps must be positive and finite; xi positive (+inf leaves the score
+    tolerance at its cap); k_reg finite and nonnegative (0 gives the
+    constant score).
+    """
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ConfigurationError(f"eps must be positive and finite, got {eps!r}")
+    if xi is not None and not xi > 0:
+        raise ConfigurationError(f"xi must be positive, got {xi!r}")
+    if k_reg is not None and not (k_reg >= 0 and math.isfinite(k_reg)):
+        raise ConfigurationError(f"k_reg must be finite and nonnegative, got {k_reg!r}")
 
 
 def _alpha_fallback(a: AssumptionConstants) -> float:
@@ -181,10 +177,7 @@ def _exp_score(p, Z, a, eps: float, xi: float, kind: str) -> tuple[dict, Evaluat
 
     Shared by a mechanism run and its exact-law audit.
     """
-    if eps <= 0:
-        raise ConfigurationError("eps must be positive")
-    if xi <= 0:
-        raise ConfigurationError("xi must be positive")
+    _check_inputs(eps, xi)
     der = derive_constants(a, Z.n)
     eps_prime = eps / 2.0
     # zeta and xi both default to eps'/6 (the accounting that closes the
@@ -209,14 +202,11 @@ def _exp_score(p, Z, a, eps: float, xi: float, kind: str) -> tuple[dict, Evaluat
 
 def _regularized_score(p, Z, a, eps, delta, mode, xi, k_reg) -> tuple[dict, Evaluator]:
     """Ledger parameters and the score k * (Phi_hat(x) + mu_reg/2 * ||x||^2)."""
-    if eps <= 0:
-        raise ConfigurationError("eps must be positive")
+    _check_inputs(eps, xi, k_reg)
     if delta is None or not (0.0 < delta < 1.0):
         raise ConfigurationError("delta must lie in (0, 1)")
     if mode not in ("erm", "population"):
         raise ConfigurationError(f"mode must be 'erm' or 'population', got {mode!r}")
-    if xi <= 0:
-        raise ConfigurationError("xi must be positive")
     if a.D_x <= 0:
         raise ConfigurationError("regularized mechanism needs D_x > 0")
     n = Z.n
@@ -369,15 +359,24 @@ _GD_OVERRIDE_KEYS = {"T", "eta", "alpha", "sigma", "gap_upper_bound", "unsafe"}
 
 
 def _descent_overrides(overrides: Optional[dict]) -> dict:
-    """Checked descent overrides as the ledger records them."""
+    """Checked descent overrides as the ledger records them.
+
+    'unsafe' must be a bool and 'T' an integral number (not a bool); every
+    other value a finite number.
+    """
     ov = dict(overrides or {})
     unknown = set(ov) - _GD_OVERRIDE_KEYS
     if unknown:
         raise ConfigurationError(f"unknown override keys: {sorted(unknown)}")
     for k, v in ov.items():
-        if k != "unsafe" and not math.isfinite(float(v)):
+        if k == "unsafe":
+            if not isinstance(v, bool):
+                raise ConfigurationError(f"override 'unsafe' must be a bool, got {v!r}")
+        elif not math.isfinite(float(v)):
             raise ConfigurationError(f"override {k!r} must be finite, got {v!r}")
-    return {k: (bool(v) if k == "unsafe" else int(v) if k == "T" else float(v))
+        elif k == "T" and (isinstance(v, bool) or not float(v).is_integer()):
+            raise ConfigurationError(f"override 'T' must be an integer, got {v!r}")
+    return {k: (v if k == "unsafe" else int(v) if k == "T" else float(v))
             for k, v in ov.items()}
 
 
@@ -477,11 +476,14 @@ def dp_second_order_gd(
     overriding sigma below it requires overrides['unsafe'] = True and marks
     the ledger uncertified.
     """
-    if eps <= 0:
-        raise ConfigurationError("eps must be positive")
+    _check_inputs(eps)
     if not (0.0 < delta < 1.0):
         raise ConfigurationError("delta must lie in (0, 1)")
     ov = _descent_overrides(overrides)
+    x0 = np.asarray(p.domain_x.center if x0 is None else x0, dtype=float)
+    if x0.shape != (p.d_x,) or not np.isfinite(x0).all():
+        raise ConfigurationError(
+            f"x0 must be {p.d_x} finite numbers, got shape {x0.shape}: {x0.tolist()}")
     seed, gen = seed_and_generator(rng)
     schedule = _gd_schedule(p, Z, a, eps, delta, ov)
     T, eta, alpha, sigma = (schedule[k] for k in ("T", "eta", "alpha", "sigma"))
@@ -492,13 +494,12 @@ def dp_second_order_gd(
     noise = sigma * gen.standard_normal((T, p.d_x)) if sigma > 0.0 else None
     pick = int(gen.integers(1, T + 1))
     trajectory = np.empty((pick + 1, p.d_x))
-    x = trajectory[0] = p.domain_x.project(np.asarray(
-        p.domain_x.center if x0 is None else x0, dtype=float))
+    x = trajectory[0] = p.domain_x.project(x0)
     warm = None
     for t in range(pick):
         res = solve_lower_level(p, Z, x, alpha, a, warm_start=warm)
         warm = res.y
-        query = approx_hypergradient(p, Z, x, res.y).vector
+        query = approx_hypergradient(p, Z, x, res.y)
         if noise is not None:
             query = query + noise[t]
         x = p.domain_x.project(x - eta * query)
@@ -547,8 +548,7 @@ def warm_start(
     guarantees in expectation-scale — substituted into the T and alpha
     schedules.  Total spent: (eps, delta/2).
     """
-    if eps <= 0:
-        raise ConfigurationError("eps must be positive")
+    _check_inputs(eps, xi)
     if not (0.0 < delta < 1.0):
         raise ConfigurationError(
             "delta must lie in (0, 1): the descent stage requires delta > 0"

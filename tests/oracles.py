@@ -65,7 +65,7 @@ def grid_lipschitz(scores, grid) -> float:
 
 
 def cholesky_hypergradient(p, Z, x, y):
-    """(vector, residual) of the implicit gradient through scipy's cho_factor/cho_solve.
+    """The implicit gradient through scipy's cho_factor/cho_solve.
 
     The wrapped-SciPy computation the direct LAPACK calls in
     approx_hypergradient must reproduce bit for bit.
@@ -76,7 +76,7 @@ def cholesky_hypergradient(p, Z, x, y):
     Hyy = np.asarray(p.hess_g_yy(x, y, Z), dtype=float)
     Hyy = 0.5 * (Hyy + Hyy.T)
     w = scipy.linalg.cho_solve(scipy.linalg.cho_factor(Hyy), gy)
-    return gx - Hxy @ w, float(np.linalg.norm(Hyy @ w - gy))
+    return gx - Hxy @ w
 
 
 def domain_project(dom, x):
@@ -222,8 +222,7 @@ def certified_queries_nonzero(P, pi, accuracy, t):
         bound = math.inf if log_ratio >= 0.0 else -math.log1p(-math.exp(log_ratio))
     if bound <= chain.CERTIFIED_FLOOR:
         return steps, bound
-    return steps, chain._exact_distance(
-        scipy.sparse.csr_array(P), pi, t, chain.SPECTRAL_STATE_THRESHOLD)
+    return steps, chain._exact_distance(scipy.sparse.csr_array(P), pi, t)
 
 
 def cheeger_interval(analysis) -> tuple[float, float]:
@@ -266,7 +265,7 @@ def full_descent(p, Z, a, eps, delta, x0=None, overrides=None, rng=0):
     for t in range(T):
         res = solve_lower_level(p, Z, x, alpha, a, warm_start=warm)
         warm = res.y
-        query = approx_hypergradient(p, Z, x, res.y).vector
+        query = approx_hypergradient(p, Z, x, res.y)
         noisy = query if sigma == 0.0 else query + sigma * gen.standard_normal(query.shape)
         x = p.domain_x.project(x - eta * noisy)
         trajectory[t + 1] = x

@@ -290,7 +290,7 @@ def test_06_hypergradient_matches_finite_differences():
         for _ in range(20):
             x = _random_feasible_x(fx, rng)
             y = solve_lower_level(fx.problem, Z, x, 1e-10, fx.constants).y
-            hg = approx_hypergradient(fx.problem, Z, x, y).vector
+            hg = approx_hypergradient(fx.problem, Z, x, y)
             h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
             fd = np.zeros_like(x)
             for i in range(x.size):
@@ -321,7 +321,7 @@ def test_07_hypergradient_bias_constant():
             y_opt = quad.y_star(x, Zq)
             u = rng.standard_normal(y_opt.size)
             y = y_opt + r * u / np.linalg.norm(u)
-            hg = approx_hypergradient(quad.problem, Zq, x, y).vector
+            hg = approx_hypergradient(quad.problem, Zq, x, y)
             assert np.linalg.norm(hg - quad.grad_phi(x, Zq)) <= 1e-12
 
     ridge = make_instance("ridge", feature_dim=2, seed=0)
@@ -335,7 +335,7 @@ def test_07_hypergradient_bias_constant():
             y_opt = ridge.y_star(x, Zr)
             u = rng.standard_normal(y_opt.size)
             y = y_opt + r * u / np.linalg.norm(u)
-            hg = approx_hypergradient(ridge.problem, Zr, x, y).vector
+            hg = approx_hypergradient(ridge.problem, Zr, x, y)
             assert np.linalg.norm(hg - ridge.grad_phi(x, Zr)) <= Cr * r
 
 
@@ -384,7 +384,7 @@ def test_08_sensitivity_bounds():
 
         def query(Z_, fx=fx, x=x):
             y = solve_lower_level(fx.problem, Z_, x, 1e-8, fx.constants).y
-            return approx_hypergradient(fx.problem, Z_, x, y).vector
+            return approx_hypergradient(fx.problem, Z_, x, y)
 
         report = empirical_sensitivity(
             query, Zn, swap_candidates=candidates, indices=range(8),

@@ -209,12 +209,13 @@ def test_lemmas_shape_and_cap_validation():
 
 
 def test_lemmas_respect_supplied_lipschitz_constant():
+    # the mixing budget takes the scores' own grid Lipschitz constant:
+    # scaling them by 8 raises it from 1 to 8 and the budget with it
     grid = grid_with_cells(box(1), 4)
     f = np.linspace(0.0, 0.75, 4)
-    slow = verify_sampler_lemmas(f, np.zeros(4), grid, accuracy=0.3,
-                                 alpha_lip=8.0)[2]
-    fast = verify_sampler_lemmas(f, np.zeros(4), grid, accuracy=0.3,
-                                 alpha_lip=1.0)[2]
+    slow = verify_sampler_lemmas(8.0 * f, np.zeros(4), grid, accuracy=0.3)[2]
+    fast = verify_sampler_lemmas(f, np.zeros(4), grid, accuracy=0.3)[2]
+    assert (slow.witness["alpha_lip"], fast.witness["alpha_lip"]) == (8.0, 1.0)
     assert slow.witness["t"] > fast.witness["t"]
     assert slow.passed and fast.passed
 

@@ -333,6 +333,15 @@ def test_main_bad_json_is_config_error(tmp_path, capsys):
     assert main(["run", str(path)]) == 1
 
 
+def test_main_non_finite_budget_is_config_error(tmp_path, capsys):
+    # Python's json reads NaN; the audit's first use of the budget must
+    # refuse it as a config error (exit 1), not fail at run time (exit 3)
+    raw = config_dict(tmp_path / "out", budget={"epsilon": float("nan"), "delta": 0.0},
+                      sweep={"n": [8]}, trials_per_cell=1)
+    assert main(["audit", write_config(tmp_path, raw)]) == 1
+    assert "config error: eps must be positive and finite" in capsys.readouterr().err
+
+
 def test_main_unknown_mechanism_is_config_error(tmp_path):
     raw = config_dict(tmp_path, mechanism={"name": "laplace"})
     assert main(["run", write_config(tmp_path, raw)]) == 1

@@ -84,7 +84,7 @@ def test_hypergradient_formula_agrees_at_solution(case):
     rng = np.random.default_rng(4)
     x = 0.5 * fx.problem.domain_x.sample_uniform(rng)
     hyper = approx_hypergradient(fx.problem, Z, x, fx.y_star(x, Z))
-    np.testing.assert_allclose(hyper.vector, fx.grad_phi(x, Z), atol=1e-7)
+    np.testing.assert_allclose(hyper, fx.grad_phi(x, Z), atol=1e-7)
 
 
 def test_declared_constants_survive_probing(case):

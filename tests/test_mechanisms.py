@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from dpbilevel.instances import make_instance
 from dpbilevel.mechanisms import (
     K_REG,
     MECHANISMS,
-    MechanismResult,
     PrivacyBudget,
     dp_second_order_gd,
     exponential_mechanism,
@@ -390,6 +390,81 @@ def test_gd_non_finite_override_is_a_configuration_error(quad, key):
                        stage_b_overrides={key: value, "unsafe": True})
 
 
+def test_gd_T_override_must_be_an_integer(quad):
+    fx, Z = quad
+    for value in (2.7, True):
+        with pytest.raises(ConfigurationError, match="'T'"):
+            dp_second_order_gd(fx.problem, Z, fx.constants, 1.0, 1e-3,
+                               overrides={"T": value}, rng=0)
+        with pytest.raises(ConfigurationError, match="'T'"):
+            warm_start(fx.problem, Z, fx.constants, 1.0, 1e-3, 0.2, rng=0,
+                       stage_b_overrides={"T": value})
+    res = dp_second_order_gd(fx.problem, Z, fx.constants, 1.0, 1e-3,
+                             overrides={"T": 2.0}, rng=0)
+    assert res.ledger["T"] == 2 and res.ledger["overrides"] == {"T": 2}
+    assert type(res.ledger["overrides"]["T"]) is int
+
+
+def test_gd_unsafe_override_must_be_a_bool(quad):
+    # a truthy non-bool such as the string "false" must not switch the
+    # sigma check off
+    fx, Z = quad
+    for value in ("false", 1, None):
+        with pytest.raises(ConfigurationError, match="'unsafe'"):
+            dp_second_order_gd(fx.problem, Z, fx.constants, 1.0, 1e-3,
+                               overrides={"T": 2, "sigma": 0.0, "unsafe": value}, rng=0)
+        with pytest.raises(ConfigurationError, match="'unsafe'"):
+            warm_start(fx.problem, Z, fx.constants, 1.0, 1e-3, 0.2, rng=0,
+                       stage_b_overrides={"sigma": 0.0, "unsafe": value})
+
+
+@pytest.mark.parametrize("x0", [[math.nan], [math.inf], [0.1, 0.2]],
+                         ids=["nan", "inf", "shape"])
+def test_gd_bad_start_is_a_configuration_error(quad, monkeypatch, x0):
+    fx, Z = quad
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking x0")
+
+    monkeypatch.setattr(mechanisms, "solve_lower_level", no_solve)
+    gen = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="x0"):
+            dp_second_order_gd(fx.problem, Z, fx.constants, 1.0, 1e-3, x0=x0, rng=gen)
+    assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+#: (mechanism, bad input, the input the error names); the other inputs are valid
+BAD_INPUTS = [
+    ("exponential_mechanism", {"xi": math.nan}, "xi"),
+    ("exponential_mechanism", {"eps": math.inf}, "eps"),
+    ("grad_norm_exp_mechanism", {"eps": math.nan}, "eps"),
+    ("regularized_exp_mechanism", {"k_reg": math.nan}, "k_reg"),
+    ("regularized_exp_mechanism", {"k_reg": -1.0}, "k_reg"),
+    ("warm_start", {"xi": math.nan}, "xi"),
+    ("dp_second_order_gd", {"eps": math.inf}, "eps"),
+    ("dp_second_order_gd", {"eps": math.nan}, "eps"),
+]
+
+
+@pytest.mark.parametrize("name,bad,key", BAD_INPUTS,
+                         ids=[f"{name}-{key}={bad[key]}" for name, bad, key in BAD_INPUTS])
+def test_bad_mechanism_inputs_are_configuration_errors(quad, name, bad, key):
+    fx, Z = quad
+    valid = {"eps": 1.0, "delta": 1e-3, "xi": 0.2, "mode": "erm"}
+    kwargs = {k: v for k, v in valid.items() if k in MECHANISMS[name].params}
+    with pytest.raises(ConfigurationError, match=f"^{key} must"):
+        getattr(mechanisms, name)(fx.problem, Z, fx.constants, rng=0,
+                                  **{**kwargs, **bad})
+
+
+def test_infinite_xi_takes_the_tolerance_cap(quad):
+    fx, Z = quad
+    res = exponential_mechanism(fx.problem, Z, fx.constants, 1.2, math.inf, rng=0)
+    assert res.ledger["xi_used"] == 1.2 / 12.0
+
+
 def test_gd_unsafe_sigma_is_uncertified(quad):
     fx, Z = quad
     res = dp_second_order_gd(
@@ -524,14 +599,25 @@ def test_replay_is_bit_identical(quad, hard):
     assert set(stages["stage_b"]) == DESCENT_KEYS
 
 
-def test_replay_from_parsed_json(quad):
-    fx, Z = quad
-    res = dp_second_order_gd(fx.problem, Z, fx.constants, 1.0, 1e-3, rng=31)
-    revived = MechanismResult.from_json(res.to_json())
-    np.testing.assert_array_equal(revived.x_out, res.x_out)
-    np.testing.assert_array_equal(revived.trajectory, res.trajectory)
-    again = replay_mechanism(fx.problem, Z, fx.constants, revived)
-    np.testing.assert_array_equal(res.x_out, again.x_out)
+def test_replay_from_parsed_json(quad, hard):
+    # the ledger is the serialized form of a release: it survives a JSON
+    # round trip as is, and replaying from the parsed dict is bit-identical
+    fxq, Zq = quad
+    fxh, Zh = hard
+    walked = exponential_mechanism(fxq.problem, Zq, fxq.constants, 1.2, 0.2,
+                                   rng=7, force_walk=True)
+    assert walked.ledger["plan"]["branch"] == "walk"
+    for res in run_all_five(fxq, Zq, fxh, Zh) + [walked]:
+        name = res.ledger["mechanism"]
+        parsed = json.loads(json.dumps(res.ledger))
+        assert parsed == res.ledger, name
+        fx, Z = (fxh, Zh) if name == "warm_start" else (fxq, Zq)
+        again = replay_mechanism(fx.problem, Z, fx.constants, parsed)
+        assert again.x_out.tobytes() == res.x_out.tobytes(), name
+        assert again.budget_spent == res.budget_spent
+        assert again.ledger == res.ledger, name
+        if res.trajectory is not None:
+            assert again.trajectory.tobytes() == res.trajectory.tobytes()
 
 
 def test_replay_requires_recorded_seed(quad):
@@ -545,17 +631,19 @@ def test_replay_requires_recorded_seed(quad):
 
 @pytest.mark.parametrize("force_walk", [False, True])
 def test_exponential_mechanism_json_roundtrip(quad, force_walk):
+    # the ledger is the release's JSON form: parsing it back gives the same
+    # ledger, and replaying from it gives the same point bit for bit
     fx, Z = quad
     res = exponential_mechanism(fx.problem, Z, fx.constants, 1.2, 0.2, rng=7,
                                 force_walk=force_walk)
     assert res.ledger["plan"]["branch"] == ("walk" if force_walk else "enumerate")
-    revived = MechanismResult.from_json(res.to_json())
-    assert revived.trajectory is None
-    assert revived.ledger == res.ledger
-    np.testing.assert_array_equal(revived.x_out, res.x_out)
-    again = replay_mechanism(fx.problem, Z, fx.constants, revived)
-    np.testing.assert_array_equal(again.x_out, res.x_out)
+    assert res.trajectory is None
+    parsed = json.loads(json.dumps(res.ledger))
+    assert parsed == res.ledger
+    again = replay_mechanism(fx.problem, Z, fx.constants, parsed)
+    assert again.trajectory is None
     assert again.ledger == res.ledger
+    np.testing.assert_array_equal(again.x_out, res.x_out)
 
 
 def test_grad_norm_release_enumerates_grid_below_walk_budget():

@@ -1,0 +1,45 @@
+"""perfbench's own op code runs against the program.
+
+`perfbench/ops.py` reads program names such as `cli.ExperimentConfig`,
+`chain.exact_chain` and `Domain.contains`; a change that renames or removes
+one would otherwise surface only when the benchmark runs.  One cheap cell
+of each op kind goes through prepare -> execute -> check here.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """perfbench's (cells, ops) modules, imported as run.py imports them."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import cells
+        import ops
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return cells, ops
+
+
+@pytest.mark.parametrize("workload,label", [
+    ("release-grid", "exponential_mechanism/hard/d1/n16/eps1"),  # short cube
+    ("audit", "run_audits/hard/d1/n32"),
+    ("audit", "chain/d1/256cells"),
+])
+def test_one_op_of_each_kind_is_not_wrong(perfbench, workload, label):
+    cells, ops = perfbench
+    wl = cells.WORKLOADS[workload]
+    cell = next(c for c in wl.cells if c.label == label)
+    op = ops.Op(index=0, round=0, cell=cell, data_seed=0, mech_seed=0, replay=False)
+    inputs = ops.prepare(op, ops.build_fixtures(wl))
+    result = ops.execute(op, inputs)
+    failures, wrong = ops.check(op, inputs, result, wl.deadline_s)
+    assert not wrong, failures
+    if cell.kind == "mechanism":
+        assert result.ledger["plan"]["branch"] == "short_cube"
+    assert len(ops.digest(result)) == 64

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpbilevel.errors import ConfigurationError, SamplerFailure, SizeCapError
+from dpbilevel.gridwalk import sampler
 from dpbilevel.gridwalk.evaluator import Evaluator, ExtendedEvaluator
 from dpbilevel.gridwalk.sampler import (
     ENUM_STATE_CAP,
@@ -35,6 +36,11 @@ def abs_evaluator(scale, zeta=0.0, perturb=None):
         return f
 
     return Evaluator(evaluate_many, zeta_bound=zeta, alpha_lip=scale)
+
+
+def pin_plan(monkeypatch, plan):
+    """Make every sample_logconcave_detailed call run with the given plan."""
+    monkeypatch.setattr(sampler, "plan_sampler", lambda *args, **kwargs: plan)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +190,16 @@ def bin_masses(scale, grid, shift=0.0):
     return masses / masses.sum()
 
 
-def test_double_exponential_law_close_in_log_ratio():
+def test_double_exponential_law_close_in_log_ratio(monkeypatch):
     domain = box(1)
     xi = 0.5
     ev = abs_evaluator(2.0)
     plan = plan_sampler(domain, 2.0, xi, 0.0)
     assert plan.branch == "enumerate" and plan.grid.cells_per_axis == 16
+    pin_plan(monkeypatch, plan)
     gen = np.random.default_rng(99)
     draws = np.array([
-        sample_logconcave_detailed(ev, domain, 2.0, xi, gen, plan=plan).theta[0]
+        sample_logconcave_detailed(ev, domain, 2.0, xi, gen).theta[0]
         for _ in range(8_000)
     ])
     counts, _ = np.histogram(
@@ -204,15 +211,16 @@ def test_double_exponential_law_close_in_log_ratio():
     assert worst <= xi + 0.05
 
 
-def test_perturbed_oracle_stays_within_declared_envelope():
+def test_perturbed_oracle_stays_within_declared_envelope(monkeypatch):
     domain = box(1)
     xi, zeta = 0.5, 0.1
     ev = abs_evaluator(2.0, zeta=zeta,
                        perturb=lambda t: zeta * math.copysign(1.0, t[0]))
     plan = plan_sampler(domain, 2.0, xi, zeta)
+    pin_plan(monkeypatch, plan)
     gen = np.random.default_rng(7)
     draws = np.array([
-        sample_logconcave_detailed(ev, domain, 2.0, xi, gen, plan=plan).theta[0]
+        sample_logconcave_detailed(ev, domain, 2.0, xi, gen).theta[0]
         for _ in range(8_000)
     ])
     counts, _ = np.histogram(
@@ -259,7 +267,7 @@ def test_detail_fields_and_domain_membership():
         assert detail.cell is not None
 
 
-def test_restart_cap_exhaustion_raises():
+def test_restart_cap_exhaustion_raises(monkeypatch):
     domain = box(1, half=0.25)
     # spikes the score away from the cube center: the short-cube acceptance
     # test then rejects essentially every proposal.  The plan is pinned so
@@ -270,9 +278,10 @@ def test_restart_cap_exhaustion_raises():
     )
     plan = plan_sampler(domain, 0.5, 0.5, 0.0)
     assert plan.branch == "short_cube"
+    pin_plan(monkeypatch, plan)
     with pytest.raises(SamplerFailure):
         sample_logconcave_detailed(ev, domain, L_lip2=0.5, xi=0.5,
-                                   rng=np.random.default_rng(0), plan=plan)
+                                   rng=np.random.default_rng(0))
 
 
 def test_integer_seed_reproduces_draws():
