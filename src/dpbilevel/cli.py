@@ -50,6 +50,24 @@ MECHANISM_NAMES = tuple(MECHANISMS)
 _UNSETTABLE = {"eps", "delta", "x0"}
 #: instance parameter that plays the role of the sweep axis "d"
 _DIM_PARAM = {"hard": "d", "quadratic": "d_x", "ridge": "feature_dim"}
+#: what each numeric config value must be, besides a finite non-bool number
+_RULES = {
+    "n": ("a positive integer", lambda v: v >= 1 and float(v).is_integer()),
+    "d": ("a positive integer", lambda v: v >= 1 and float(v).is_integer()),
+    "epsilon": ("positive and finite", lambda v: v > 0),
+    "delta": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "trials_per_cell": ("an integer >= 1", lambda v: v >= 1 and float(v).is_integer()),
+    "seed": ("an integer", lambda v: float(v).is_integer()),
+}
+
+
+def _checked(key: str, value, where: str = ""):
+    """value if key's rule accepts it, else ConfigurationError naming both."""
+    rule, ok = _RULES[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and math.isfinite(value) and ok(value):
+        return value
+    raise ConfigurationError(f"{where}{key} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +122,8 @@ class ExperimentConfig:
         budget = raw["budget"]
         if not isinstance(budget, dict) or set(budget) - {"epsilon", "delta"}:
             raise ConfigurationError("budget must be {'epsilon': ..., 'delta': ...}")
-        epsilon = float(budget.get("epsilon", 1.0))
-        delta = float(budget.get("delta", 0.0))
+        epsilon = float(_checked("epsilon", budget.get("epsilon", 1.0), "budget "))
+        delta = float(_checked("delta", budget.get("delta", 0.0), "budget "))
 
         sweep = dict(raw.get("sweep", {}))
         bad_axes = set(sweep) - set(SWEEP_AXES)
@@ -116,10 +134,12 @@ class ExperimentConfig:
         for axis, values in sweep.items():
             if not isinstance(values, (list, tuple)) or len(values) == 0:
                 raise ConfigurationError(f"sweep axis {axis!r} needs a nonempty list")
+            for value in values:
+                _checked(axis, value, "sweep ")
+        if "delta" in MECHANISMS[mech_name].params and 0.0 in sweep.get("delta", [delta]):
+            raise ConfigurationError(f"{mech_name} needs delta in (0, 1), got 0")
 
-        trials = int(raw.get("trials_per_cell", 1))
-        if trials < 1:
-            raise ConfigurationError("trials_per_cell must be >= 1")
+        trials = int(_checked("trials_per_cell", raw.get("trials_per_cell", 1)))
 
         return cls(
             instance_name=inst_name,
@@ -130,7 +150,7 @@ class ExperimentConfig:
             delta=delta,
             sweep=sweep,
             trials_per_cell=trials,
-            seed=int(raw["seed"]),
+            seed=int(_checked("seed", raw["seed"])),
             output_dir=str(raw["output_dir"]),
         )
 

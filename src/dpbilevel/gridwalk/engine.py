@@ -14,8 +14,8 @@ entry and resume mid-block.  A fill scores a window of cells in one call:
 the faulting cell's row along the last axis, cut into aligned windows of at
 most _FILL_WINDOW cells, and of its window only the cells still NaN.  Runs
 are insensitive to which cells happen to be evaluated lazily, and to how
-many a fill scores, as long as a cell's score does not depend on the batch
-it was scored in.
+many a fill scores, because a cell's score does not depend on the batch it
+is scored in (a tested property of every sampler score).
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 An Evaluator wraps one batch oracle for f'(theta) = f(theta) + perturbation
 with |perturbation| <= zeta_bound, plus the declared infinity-norm Lipschitz
-constant of the exact f; a single point is a batch of one.
+constant of the exact f; a single point is a batch of one, and a row's
+value does not depend on its batch (tested for every sampler score).
 ExtendedEvaluator turns a score on a convex body into one on its enclosing
 cube: project onto the body, add the projection distance times the
 l2-Lipschitz constant, and add a gauge penalty pushing mass back into the

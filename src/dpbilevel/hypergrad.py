@@ -8,13 +8,14 @@ where each term is one of the problem's record-averaged callbacks evaluated
 on the dataset (grad_f_x, grad_f_y, hess_g_xy and hess_g_yy).  It equals the
 true gradient of Phi-hat when y is the exact lower-level minimizer, and is
 biased by at most C * ||y - y*|| otherwise (C from derive_constants).  H_yy
-is SPD by strong convexity.  At one point the linear solve is one LAPACK
-Cholesky factorization (dpotrf) and back-substitution (dpotrs): the same
-routines and arguments scipy.linalg.cho_factor/cho_solve use, without their
-per-call wrapping, which dominates at the small d_y of these problems.  A
-stack of points, x (B, d_x) and y (B, d_y), takes one batched np.linalg
-Cholesky factorization as the definiteness check and one batched solve,
-and returns a (B, d_x) stack of estimates.
+is SPD by strong convexity.  A point (x, y), one per descent step, solves
+by one LAPACK Cholesky factorization (dpotrf) and back-substitution
+(dpotrs): the routines scipy.linalg.cho_factor/cho_solve call, without
+their per-call wrapping, about twice as fast as a stack of one.  A stack,
+x (B, d_x) and y (B, d_y), a stack of one included, takes one batched
+np.linalg Cholesky factorization as the definiteness check and one batched
+LU solve, and returns (B, d_x) rows whose bits do not depend on B; they
+agree with the point path to rounding only.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ def approx_hypergradient(
     Returns the (d_x,) vector, or a (B, d_x) stack for stacked x and y.
     """
     if np.ndim(x) == 2:
-        if len(x) == 1:  # the LAPACK point path is about twice as fast as a stack of one
-            return approx_hypergradient(p, Z, x[0], y[0])[None]
         return _hypergradient_stack(p, Z, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     gx = np.asarray(p.grad_f_x(x, y, Z), dtype=float)
     gy = np.asarray(p.grad_f_y(x, y, Z), dtype=float)

@@ -15,7 +15,8 @@ Three fixtures with analytically known lower-level solutions:
 Each fixture bundles the problem callbacks, valid declared constants, the
 closed forms, and a seeded dataset sampler, so mechanisms can be checked
 against ground truth.  The callbacks broadcast over leading axes of x and y
-(see BilevelProblem); the closed forms take single points.
+(see BilevelProblem), reducing each row alone ((u * v).sum(axis=-1), _matvec)
+so that a point rounds like a row of any batch; closed forms take points.
 """
 
 from __future__ import annotations
@@ -48,12 +49,8 @@ class InstanceFixture:
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A @ v over the leading axes of v, one matrix-vector product per row.
-
-    A single v gives exactly A @ v, and each row of a batch rounds exactly
-    like it; a batch v @ A.T would take a matrix-matrix kernel that rounds
-    differently, and the lower-level gradient feeds the solver's certificate.
-    """
+    """A @ v over the leading axes of v, one matrix-vector product per row
+    (a batch v @ A.T would take a matrix-matrix kernel that rounds differently)."""
     return np.matmul(A, v[..., None])[..., 0]
 
 
@@ -110,7 +107,7 @@ def make_hard_instance(
 
     problem = BilevelProblem(
         d_x=d, d_y=d,
-        f=lambda x, y, Z: -L_fy * (y @ _zbar(Z)),
+        f=lambda x, y, Z: -L_fy * (y * _zbar(Z)).sum(axis=-1),
         grad_f_x=lambda x, y, Z: np.zeros(np.shape(x)),
         grad_f_y=lambda x, y, Z: np.zeros(np.shape(y)) - L_fy * _zbar(Z),
         grad_g_y=lambda x, y, Z: mu_g * (y - zeta * x),
@@ -191,7 +188,8 @@ def make_quadratic_instance(d_x: int = 2, d_y: int = 2, seed: int = 0) -> Instan
 
     def f(x, y, Z):
         m = means(Z)
-        return 0.5 * ((x * x).sum(axis=-1) - 2 * (x @ m["a"]) + m["a_sq"]) + y @ m["b"]
+        return (0.5 * ((x * x).sum(axis=-1) - 2 * (x * m["a"]).sum(axis=-1) + m["a_sq"])
+                + (y * m["b"]).sum(axis=-1))
 
     problem = BilevelProblem(
         d_x=d_x, d_y=d_y,
@@ -313,8 +311,8 @@ def make_ridge_hyperparam_instance(
 
     def f(x, y, Z):
         st = stats(Z)
-        return 0.5 * ((y * _matvec(st["Uv"], y)).sum(axis=-1) - 2 * (y @ st["mv"])
-                      + st["vv_sq"])
+        return 0.5 * ((y * _matvec(st["Uv"], y)).sum(axis=-1)
+                      - 2 * (y * st["mv"]).sum(axis=-1) + st["vv_sq"])
 
     def grad_f_y(x, y, Z):
         st = stats(Z)

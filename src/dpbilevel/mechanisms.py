@@ -28,9 +28,9 @@ Every result carries a ledger sufficient to replay it bit-for-bit
 ledger is bit-identical too.  MECHANISMS, at the bottom, is the one place a
 mechanism's name maps to the keywords its ledger records (which replay and
 the CLI pass back in) and, for the samplers, to the score whose exact grid
-law the audits check (mechanism_grid_law).  A score is one
-batch function of the points (an Evaluator); the sampler's walk scores a
-single point as a batch of one.
+law the audits check (mechanism_grid_law).  A score is one batch function
+of the points (an Evaluator) whose rows keep their bits in a batch of any
+size (tested); the sampler's walk scores a single point as a batch of one.
 """
 
 from __future__ import annotations
@@ -110,43 +110,17 @@ def _phi_evaluator(
     zeta: float,
     L_lip2: float,
 ) -> Evaluator:
-    """Evaluator for coeff * Phi_hat with scaled error at most zeta.
+    """Evaluator for coeff * Phi_hat, coeff > 0, with scaled error at most zeta.
 
     A batch is one lockstep lower-level solve with every row started from
     y_box.center, so a point's score does not depend on the other points
     scored with it.  Both the mechanism and the audit go through this same
     path, so the scores they see are identical.
     """
-    if coeff == 0.0:
-        return _constant_evaluator()
     zeta_phi = zeta / coeff
 
     def evaluate_many(X: np.ndarray) -> np.ndarray:
         return coeff * phi_solution_pair(p, Z, X, zeta_phi, a)[0]
-
-    return Evaluator(evaluate_many, zeta_bound=zeta, alpha_lip=L_lip2 * math.sqrt(p.d_x))
-
-
-def _grad_norm_evaluator(
-    p: BilevelProblem,
-    Z: Dataset,
-    a: AssumptionConstants,
-    coeff: float,
-    alpha_inner: float,
-    zeta: float,
-    L_lip2: float,
-) -> Evaluator:
-    """Evaluator for coeff * ||hypergradient at a tightly solved lower level||.
-
-    A batch is one lockstep solve from y_box.center and one stacked
-    hypergradient.
-    """
-    if coeff == 0.0:
-        return _constant_evaluator()
-
-    def evaluate_many(X: np.ndarray) -> np.ndarray:
-        res = solve_lower_level(p, Z, X, alpha_inner, a)
-        return coeff * _row_norms(approx_hypergradient(p, Z, X, res.y))
 
     return Evaluator(evaluate_many, zeta_bound=zeta, alpha_lip=L_lip2 * math.sqrt(p.d_x))
 
@@ -186,12 +160,21 @@ def _exp_score(p, Z, a, eps: float, xi: float, kind: str) -> tuple[dict, Evaluat
     sens, slope = (der.s, der.L_bar) if kind == "phi" else (der.G, der.beta_phi)
     coeff = 0.0 if sens == 0.0 else float(eps_prime / (2.0 * sens))
     L2 = float(coeff * slope)
-    if kind == "phi":
+    if coeff == 0.0:
+        evaluator = _constant_evaluator()
+    elif kind == "phi":
         evaluator = _phi_evaluator(p, Z, a, coeff, err, L2)
     else:
-        # C * alpha <= the score-scale error budget zeta / coeff = G/3
+        # coeff * ||hypergradient||, a batch being one lockstep solve from
+        # y_box.center to C * alpha <= the score-scale error budget
+        # zeta / coeff = G/3, and one stacked hypergradient
         alpha_inner = der.G / (3.0 * der.C) if der.C > 0 else _alpha_fallback(a)
-        evaluator = _grad_norm_evaluator(p, Z, a, coeff, alpha_inner, err, L2)
+
+        def evaluate_many(X: np.ndarray) -> np.ndarray:
+            res = solve_lower_level(p, Z, X, alpha_inner, a)
+            return coeff * _row_norms(approx_hypergradient(p, Z, X, res.y))
+
+        evaluator = Evaluator(evaluate_many, zeta_bound=err, alpha_lip=L2 * math.sqrt(p.d_x))
     params = {
         "eps": float(eps), "xi": float(xi), "n": Z.n, "eps_prime": eps_prime,
         "sensitivity": float(sens), "coeff": coeff, "zeta": err,
@@ -460,7 +443,8 @@ def dp_second_order_gd(
     delta: float,
     x0: Optional[np.ndarray] = None,
     overrides: Optional[dict] = None,
-    rng: RngLike = 0,
+    *,
+    rng: RngLike,
 ) -> MechanismResult:
     """Noisy projected gradient descent on the implicit objective.
 

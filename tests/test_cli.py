@@ -171,15 +171,15 @@ def test_failing_trials_are_rows_not_crashes(tmp_path):
     # the failure lands in the error column
     raw = config_dict(
         tmp_path,
-        mechanism={"name": "regularized_exp_mechanism", "params": {}},
-        budget={"epsilon": 1.0, "delta": 0.0},
+        mechanism={"name": "regularized_exp_mechanism", "params": {"mode": "median"}},
+        budget={"epsilon": 1.0, "delta": 1e-3},
         sweep={"n": [8]}, trials_per_cell=1)
     outcome = run_experiment(ExperimentConfig.from_dict(raw))
     assert outcome["errors"] == 1
     lines = (tmp_path / "results.csv").read_text().splitlines()
     header = lines[0].split(",")
     row = dict(zip(header, lines[1].split(",")))
-    assert "delta" in row["error"]
+    assert "mode must be" in row["error"]
     assert row["excess_risk"] == ""
 
 
@@ -334,12 +334,33 @@ def test_main_bad_json_is_config_error(tmp_path, capsys):
 
 
 def test_main_non_finite_budget_is_config_error(tmp_path, capsys):
-    # Python's json reads NaN; the audit's first use of the budget must
-    # refuse it as a config error (exit 1), not fail at run time (exit 3)
+    # Python's json reads NaN; loading the config must refuse it as a
+    # config error (exit 1), not fail at run time (exit 3)
     raw = config_dict(tmp_path / "out", budget={"epsilon": float("nan"), "delta": 0.0},
                       sweep={"n": [8]}, trials_per_cell=1)
     assert main(["audit", write_config(tmp_path, raw)]) == 1
-    assert "config error: eps must be positive and finite" in capsys.readouterr().err
+    assert "config error: budget epsilon must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate", [
+    {"budget": {"epsilon": float("nan")}},
+    {"sweep": {"epsilon": [-1.0, 0.5]}},
+    {"mechanism": {"name": "dp_second_order_gd"}, "budget": {"epsilon": 1.0, "delta": 2.0}},
+    {"mechanism": {"name": "dp_second_order_gd"}, "budget": {"epsilon": 1.0}},
+    {"mechanism": {"name": "warm_start"}, "sweep": {"delta": [1e-3, 0.0]}},
+    {"sweep": {"n": [8, 0]}},
+    {"sweep": {"d": [1.5]}},
+    {"trials_per_cell": 1.7},
+    {"trials_per_cell": True},
+    {"seed": 2.9},
+    {"seed": "7"},
+], ids=["nan_epsilon", "negative_sweep_epsilon", "delta_above_one", "descent_without_delta",
+        "zero_sweep_delta", "zero_n", "fractional_d", "fractional_trials", "bool_trials",
+        "fractional_seed", "string_seed"])
+def test_main_bad_config_value_exits_1_before_any_trial(tmp_path, mutate):
+    raw = config_dict(tmp_path / "out", **mutate)
+    assert main(["run", write_config(tmp_path, raw)]) == 1
+    assert not (tmp_path / "out" / "results.csv").exists()
 
 
 def test_main_unknown_mechanism_is_config_error(tmp_path):

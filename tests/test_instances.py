@@ -167,12 +167,15 @@ def test_probe_flags_callbacks_that_do_not_broadcast(f, grad_g_y, bad):
 
 
 def test_probe_records_a_check_whose_worst_ratio_is_zero():
-    # ridge's stacked and per-point calls agree exactly: checked and exact
-    # must read 0.0, not a missing key
-    fx = make_instance("ridge", feature_dim=2)
-    report = probe_assumptions(fx.problem, fx.constants, fx.sample_dataset(16, seed=5),
-                               trials=4)
-    assert report.ratios["batch_consistency"] == 0.0
+    # every fixture's stacked and per-point calls agree bit for bit: checked
+    # and exact must read 0.0, not a missing key
+    for d in (1, 2, 3):
+        for name, params in (("hard", {"d": d}), ("quadratic", {"d_x": d, "d_y": d}),
+                             ("ridge", {"feature_dim": d})):
+            fx = make_instance(name, **params)
+            report = probe_assumptions(fx.problem, fx.constants,
+                                       fx.sample_dataset(16, seed=5), trials=60)
+            assert report.ratios["batch_consistency"] == 0.0, (name, d)
 
 
 def test_datasets_are_deterministic_per_seed(case):

@@ -10,6 +10,7 @@ import pytest
 from dpbilevel import mechanisms
 from dpbilevel.errors import ConfigurationError
 from dpbilevel.gridwalk import engine as engine_module
+from dpbilevel.gridwalk import evaluator as evaluator_module
 from dpbilevel.gridwalk.evaluator import ExtendedEvaluator
 from dpbilevel.gridwalk.grid import grid_with_cells
 from dpbilevel.instances import make_instance
@@ -138,7 +139,7 @@ def test_extension_point_and_batch_paths_agree(instance, params):
 
     The acceptance test and the short-cube anchor score through eval, walk
     fills and enumeration through evaluate_many; the two must give the same
-    value inside the body and outside it.
+    bits inside the body and outside it.
     """
     fx = make_instance(instance, **params)
     Z = fx.sample_dataset(12, seed=0)
@@ -163,51 +164,50 @@ def test_extension_point_and_batch_paths_agree(instance, params):
             assert k_reg != 0.0 or ledger["k"] == 0.0
             ext = ExtendedEvaluator(evaluator, dom, ledger["L_lip2"])
             for x in points:
-                assert ext.eval(x) == pytest.approx(
-                    ext.evaluate_many(x[None])[0], rel=1e-12, abs=0.0)
+                assert ext.eval(x) == ext.evaluate_many(x[None])[0]
             scores += 1
     assert scores == 4
 
 
-#: (score, instance) pairs whose batch rows are not bit-equal to eval: a
-#: batched f takes y @ v through a BLAS matrix-vector kernel (FMA) where a
-#: point takes a dot product, and grad-norm's stacked hypergradient solves by
-#: LU where a point solves by Cholesky; see CHANGES.md
-ROUNDING_GAPS = {
-    ("exponential_mechanism", "quadratic"),
-    ("regularized_exp_mechanism", "hard"),
-    ("regularized_exp_mechanism", "quadratic"),
-    ("grad_norm_exp_mechanism", "ridge"),
-}
-TWO_D = {"hard": {"d": 2}, "quadratic": {"d_x": 2, "d_y": 2}, "ridge": {"feature_dim": 2}}
+SIZED = {"hard": lambda d: {"d": d}, "quadratic": lambda d: {"d_x": d, "d_y": d},
+         "ridge": lambda d: {"feature_dim": d}}
 
 
 @pytest.mark.parametrize("name", ["exponential_mechanism", "regularized_exp_mechanism",
                                   "grad_norm_exp_mechanism"])
-@pytest.mark.parametrize("instance", sorted(TWO_D))
-def test_batch_rows_equal_point_scores(instance, name):
-    """Each evaluate_many row equals eval at that point.
+@pytest.mark.parametrize("instance", sorted(SIZED))
+def test_batch_rows_equal_point_scores(monkeypatch, instance, name):
+    """A point's score has the same bits in every batch it is scored in.
 
     A walk fill scores a window of cells with evaluate_many, where a
     cell-at-a-time walk got its scores from eval; the walk takes the same
-    steps either way when these are equal, which they are bit for bit
-    outside ROUNDING_GAPS.  Inside it they agree to rounding only.
+    steps either way when these are equal.  So are random splits into
+    batches of 1, 2, 3, 7 and 64 rows, and chunks of 5 rows, on grid
+    centres and on points outside the body, at d = 1, 2 and 3.
     """
-    fx = make_instance(instance, **TWO_D[instance])
-    Z = fx.sample_dataset(12, seed=0)
-    dom = fx.problem.domain_x
-    points = grid_with_cells(dom, 9).centers_all()
     spec = MECHANISMS[name]
     given = {"eps": 1.0, "xi": 0.1, "delta": 1e-3, "mode": "erm", "k_reg": K_REG}
-    ledger, evaluator = spec.score(fx.problem, Z, fx.constants,
-                                   **{k: v for k, v in given.items() if k in spec.params})
-    ext = ExtendedEvaluator(evaluator, dom, ledger["L_lip2"])
-    rows = ext.evaluate_many(points)
-    singles = np.array([ext.eval(x) for x in points])
-    if (name, instance) in ROUNDING_GAPS:
-        np.testing.assert_allclose(rows, singles, rtol=1e-13, atol=0.0)
-    else:
-        np.testing.assert_array_equal(rows, singles)
+    for d in (1, 2, 3):
+        fx = make_instance(instance, **SIZED[instance](d))
+        Z = fx.sample_dataset(12, seed=0)
+        dom = fx.problem.domain_x
+        rng = np.random.default_rng(d)
+        outside = dom.center + dom.inf_width * rng.uniform(-1.0, 1.0, (20, d))
+        points = np.vstack([grid_with_cells(dom, 9).centers_all(), outside])
+        ledger, evaluator = spec.score(fx.problem, Z, fx.constants,
+                                       **{k: v for k, v in given.items() if k in spec.params})
+        ext = ExtendedEvaluator(evaluator, dom, ledger["L_lip2"])
+        rows = ext.evaluate_many(points)
+        np.testing.assert_array_equal(rows, [ext.eval(x) for x in points], err_msg=f"d={d}")
+        order = rng.permutation(len(points))
+        cuts = np.cumsum(rng.choice([1, 2, 3, 7, 64], size=len(points)))
+        split = np.empty(len(points))
+        for idx in np.split(order, cuts[cuts < len(points)]):
+            split[idx] = ext.evaluate_many(points[idx])
+        np.testing.assert_array_equal(split, rows, err_msg=f"d={d}")
+        with monkeypatch.context() as m:
+            m.setattr(evaluator_module, "CHUNK_ROWS", 5)
+            np.testing.assert_array_equal(ext.evaluate_many(points), rows, err_msg=f"d={d}")
 
 
 @pytest.mark.parametrize("instance,params,n", [
@@ -496,6 +496,16 @@ def test_gd_zero_sensitivity_needs_explicit_T(quad):
         D_x=1.0, D_y=1.0)
     with pytest.raises(ConfigurationError, match="T"):
         dp_second_order_gd(fx.problem, Z, flat, 1.0, 1e-3, rng=0)
+
+
+def test_gd_needs_an_explicit_rng(quad):
+    # no default seed to reuse the same noise rows across releases, and no
+    # positional slot to pass one by accident
+    fx, Z = quad
+    with pytest.raises(TypeError, match="rng"):
+        dp_second_order_gd(fx.problem, Z, fx.constants, 1.0, 1e-3)
+    with pytest.raises(TypeError):
+        dp_second_order_gd(fx.problem, Z, fx.constants, 1.0, 1e-3, None, None, 0)
 
 
 def test_gd_delta_validation(quad):
