@@ -578,7 +578,13 @@ def replay_mechanism(
     a: AssumptionConstants,
     result: Union[MechanismResult, dict],
 ) -> MechanismResult:
-    """Re-run a mechanism from its ledger; bit-identical given the same seed."""
+    """Re-run a mechanism from its ledger; bit-identical given the same seed.
+
+    The replayed ledger must equal the recorded one.  A ledger this code
+    would not produce (another version's plan, an edited field) raises
+    ConfigurationError naming the first differing key path, such as
+    stage_a.plan.states, instead of replaying to a different point.
+    """
     ledger = result.ledger if isinstance(result, MechanismResult) else dict(result)
     seed = ledger.get("seed")
     if seed is None:
@@ -590,7 +596,40 @@ def replay_mechanism(
     if name not in MECHANISMS:
         raise ConfigurationError(f"unknown mechanism {name!r}")
     recorded = {k: ledger[k] for k in MECHANISMS[name].params if k in ledger}
-    return globals()[name](p, Z, a, rng=seed, **recorded)
+    replayed = globals()[name](p, Z, a, rng=seed, **recorded)
+    where = _first_difference(ledger, replayed.ledger)
+    if where is not None:
+        raise ConfigurationError(
+            f"ledger does not replay: {where} differs from what this code records")
+    return replayed
+
+
+def _first_difference(recorded, replayed, path: str = "") -> Optional[str]:
+    """Dotted key path of the first value that differs, or None if equal.
+
+    Lists are walked by index; two NaNs count as equal.
+    """
+    if isinstance(recorded, dict) and isinstance(replayed, dict):
+        for key in [*recorded, *(k for k in replayed if k not in recorded)]:
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in recorded or key not in replayed:
+                return sub
+            where = _first_difference(recorded[key], replayed[key], sub)
+            if where is not None:
+                return where
+        return None
+    if isinstance(recorded, (list, tuple)) and isinstance(replayed, (list, tuple)):
+        if len(recorded) != len(replayed):
+            return path
+        for i, (r, s) in enumerate(zip(recorded, replayed)):
+            where = _first_difference(r, s, f"{path}.{i}")
+            if where is not None:
+                return where
+        return None
+    same = recorded == replayed or (
+        isinstance(recorded, float) and isinstance(replayed, float)
+        and math.isnan(recorded) and math.isnan(replayed))
+    return None if same else path
 
 
 class _MechanismSpec(NamedTuple):

@@ -11,6 +11,7 @@ from dpbilevel import mechanisms
 from dpbilevel.errors import ConfigurationError
 from dpbilevel.gridwalk import engine as engine_module
 from dpbilevel.gridwalk import evaluator as evaluator_module
+from dpbilevel.gridwalk import sampler as sampler_module
 from dpbilevel.gridwalk.evaluator import ExtendedEvaluator
 from dpbilevel.gridwalk.grid import grid_with_cells
 from dpbilevel.instances import make_instance
@@ -628,6 +629,27 @@ def test_replay_from_parsed_json(quad, hard):
         assert again.ledger == res.ledger, name
         if res.trajectory is not None:
             assert again.trajectory.tobytes() == res.trajectory.tobytes()
+
+
+def test_replay_refuses_a_ledger_planned_differently(quad, monkeypatch):
+    # a ledger recorded under another planner (here one sizing its grid for
+    # a quarter of xi) must not replay silently to a different point
+    fx, Z = quad
+    real = sampler_module.plan_sampler
+
+    def other_planner(domain, alpha_lip, xi, zeta, force_walk=False):
+        return real(domain, alpha_lip, xi / 4.0, zeta, force_walk)
+
+    monkeypatch.setattr(sampler_module, "plan_sampler", other_planner)
+    ledgers = [
+        exponential_mechanism(fx.problem, Z, fx.constants, 1.2, 0.2, rng=7).ledger,
+        warm_start(fx.problem, Z, fx.constants, 1.0, 1e-3, 0.2, rng=8,
+                   stage_b_overrides={"eta": 0.1, "T": 3}).ledger,
+    ]
+    monkeypatch.setattr(sampler_module, "plan_sampler", real)
+    for ledger, where in zip(ledgers, ["plan", "stage_a.plan"]):
+        with pytest.raises(ConfigurationError, match=rf"^ledger does not replay: {where}\."):
+            replay_mechanism(fx.problem, Z, fx.constants, json.loads(json.dumps(ledger)))
 
 
 def test_replay_requires_recorded_seed(quad):
