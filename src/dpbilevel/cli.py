@@ -106,6 +106,11 @@ class ExperimentConfig:
             return str(payload["name"]), dict(payload.get("params", {}))
 
         inst_name, inst_params = section("instance", raw["instance"])
+        try:  # a sub-millisecond build: the factory checks names and values
+            make_instance(inst_name, **inst_params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"instance {inst_name!r} rejects params {inst_params}: {exc}") from None
         mech_name, mech_params = section("mechanism", raw["mechanism"])
         if mech_name not in MECHANISM_NAMES:
             raise ConfigurationError(
@@ -232,7 +237,7 @@ def run_trial(config: ExperimentConfig, cell_index: int, cell: dict,
     }
     try:
         fixture = _build_fixture(config, cell)
-        n = int(cell.get("n", config.instance_params.get("n", 16)))
+        n = int(cell.get("n", 16))
         row["n"] = n
         Z = fixture.sample_dataset(n, derive_seed(seed, "data"))
         result = _run_mechanism(config, fixture, Z, eps, delta, seed)

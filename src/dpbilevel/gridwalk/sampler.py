@@ -2,32 +2,36 @@
 
 The score f is known on the body through an Evaluator whose values may be
 off by zeta pointwise.  sample_logconcave_detailed extends f to the body's
-enclosing cube (projection + distance term + gauge penalty, see
-ExtendedEvaluator), draws a point on the cube whose law tracks
-exp(-extension), and keeps it only if it lies in the body — conditioning
-that turns the cube law back into exp(-f) on the body, within sup-log-ratio
-2*zeta + xi.
+enclosing cube (ExtendedEvaluator; f' below is the extension as the oracle
+scores it, a fixed function whose table rows have the bits of its point
+scores).  Each attempt draws a cell c of a cube grid, a point theta uniform
+on c, keeps theta with probability exp(min(0, f'(c) - f'(theta) - 1)),
+f'(c) being the score of c's center, and then only if theta lies in the
+body.  A rejection discards the whole attempt, up to RESTART_CAP attempts.
+plan_sampler picks how c is drawn, once:
 
-Per attempt the cube point is produced one of three ways, picked once by
-plan_sampler:
+* enumerate -- every cell is scored once and c comes from the exact Gibbs
+  law over centers, on the coarse grid of ceil(2 alpha tau) cells per axis.
+* walk -- c is where the lazy Metropolis chain on the accuracy grid
+  (build_grid) stands after its closed-form step budget.  The first touch
+  of a cell scores the unscored cells of its fill window (see
+  engine.run_walk) in one batch.
 
-* short_cube — the score varies by less than 1 across the cube, so a
-  uniform proposal is accepted against the cube center at rate >= 1/e.
-* enumerate — every cell is scored once and the cell comes from the exact
-  Gibbs law over centers (no walk, no mixing error).  Chosen for grids of up
-  to ENUM_STATE_CAP states, and for any grid no larger than the walk's step
-  budget: a walk that long costs more than the enumeration it approximates.
-  In d <= 3 the budget exceeds every state count up to WALK_STATE_CAP.
-* walk — the lazy Metropolis chain run for its closed-form step budget,
-  scoring cells lazily: the first touch of a cell scores the unscored cells
-  of its fill window (see engine.run_walk) in one batch.  Chosen only when
-  that budget is below the state count (large grids in d >= 4) or when
-  forced.
+Enumeration needs no fine grid.  With P(c) proportional to exp(-f'(c)) and
+theta uniform on c, an accepted theta has density proportional to
 
-Grid attempts finish by proposing a uniform point theta in the landed cell
-and accepting with exp(-f'(theta)) / (e * exp(-f'(center))); a rejection
-discards the whole attempt (the walk is restarted, matching the analyzed
-procedure) up to RESTART_CAP attempts.
+    exp(-f'(c)) * exp(f'(c) - f'(theta) - 1) = exp(-1 - f'(theta))
+
+wherever the min does not clip: the cell cancels on any grid, and the
+in-body draw has law exactly exp(-f') on the body, within 2*zeta of
+exp(-f) in sup-log-ratio (rejection from a piecewise-constant envelope,
+Devroye 1986, II.3).  The clip bound: an alpha-Lipschitz f (infinity norm)
+moves by at most alpha*gamma/2 between a center and its cell, so
+f'(c) - f'(theta) - 1 <= alpha*gamma/2 + 2*zeta - 1.  Where that is positive
+the accepted density's log-ratio to exp(-f') moves by at most that much.
+The coarse grid has alpha*gamma/2 <= 1/4, so it never clips for
+zeta <= NO_CLIP_ZETA = 3/8.  A grid's fineness serves only the walk's
+mixing, and the finer accuracy grid shrinks the clip at larger zeta.
 """
 
 from __future__ import annotations
@@ -46,11 +50,13 @@ from .engine import run_walk
 from .evaluator import Evaluator, ExtendedEvaluator
 from .grid import WALK_STATE_CAP, GridSpec, build_grid, grid_with_cells
 
-#: states up to which every cell is scored and the Gibbs law drawn exactly
-#: without consulting the walk budget; larger grids are enumerated too when
-#: the walk would take at least as many steps, and the coarse fallback is
-#: taken only if it has at most this many states
+#: states up to which a grid is enumerated without consulting the walk
+#: budget; larger accuracy grids are enumerated too when the walk would
+#: take at least as many steps
 ENUM_STATE_CAP = 2**14
+#: zeta up to which the coarse grid's acceptance step never clips:
+#: alpha*gamma/2 + 2*zeta - 1 <= 1/4 + 3/4 - 1
+NO_CLIP_ZETA = 3.0 / 8.0
 #: attempts (uniform proposals, or full walks) before the sampler gives up
 RESTART_CAP = 64
 
@@ -69,8 +75,8 @@ def seed_and_generator(
 class SamplerPlan:
     """The strategy plan_sampler settled on, enough to replay or audit it."""
 
-    branch: str  # "short_cube" | "enumerate" | "walk"
-    grid: Optional[GridSpec]
+    branch: str  # "enumerate" | "walk"
+    grid: GridSpec
     walk_steps: int
     alpha_lip: float
     tau: float
@@ -80,9 +86,9 @@ class SamplerPlan:
     def as_dict(self) -> dict:
         return {
             "branch": self.branch,
-            "states": None if self.grid is None else int(self.grid.state_count),
-            "cells_per_axis": None if self.grid is None else int(self.grid.cells_per_axis),
-            "gamma": None if self.grid is None else float(self.grid.gamma),
+            "states": int(self.grid.state_count),
+            "cells_per_axis": int(self.grid.cells_per_axis),
+            "gamma": float(self.grid.gamma),
             "walk_steps": int(self.walk_steps),
             "alpha_lip": float(self.alpha_lip),
             "tau": float(self.tau),
@@ -100,17 +106,20 @@ def plan_sampler(
 ) -> SamplerPlan:
     """Choose a strategy for accuracy budget xi under evaluation error zeta.
 
-    The budget is split evenly: half to grid discretization, half to walk
-    mixing (branches that sample their grid law exactly simply keep the
-    second half).  The accuracy grid (at most WALK_STATE_CAP states) is
-    enumerated when it has at most max(ENUM_STATE_CAP, walk steps) states,
-    where walk steps is mixing_time_bound's budget, and walked otherwise.
-    When the accuracy-sized grid exceeds WALK_STATE_CAP, the planner falls
-    back to the coarsest valid grid (gamma = 1/(2 alpha)) provided it has at
-    most ENUM_STATE_CAP states — exact sampling on a coarser grid rather
-    than no answer; the achieved gamma is visible on the plan.  force_walk
-    disables the short-cube and enumeration branches and the coarse
-    fallback.
+    Unforced, the coarse grid of m = ceil(2 alpha tau) cells per axis
+    (gamma <= 1/(2 alpha)) is enumerated when it has at most ENUM_STATE_CAP
+    states and one of these holds:
+
+    * zeta <= NO_CLIP_ZETA, so the acceptance step never clips and the law
+      is exact (see the module docstring);
+    * m <= 2, where the whole cube is at most two cells wide;
+    * the accuracy grid exceeds WALK_STATE_CAP, so it has no other answer.
+
+    Otherwise the accuracy grid (build_grid at xi/2, the other half of xi
+    going to walk mixing) is enumerated when it has at most
+    max(ENUM_STATE_CAP, walk steps) states, walk steps being
+    mixing_time_bound's budget, and walked otherwise.  force_walk always
+    walks the accuracy grid.  A flat score (alpha = 0) takes one cell.
     """
     if xi <= 0:
         raise ConfigurationError("xi must be positive")
@@ -126,34 +135,33 @@ def plan_sampler(
         return SamplerPlan(branch, grid, 1 if force_walk else 0,
                            alpha_lip, tau, xi, zeta)
 
-    if alpha_lip * tau < 1.0 and not force_walk:
-        return SamplerPlan("short_cube", None, 0, alpha_lip, tau, xi, zeta)
+    m = max(1, int(math.ceil(2.0 * alpha_lip * tau)))
+    coarse = None
+    if not force_walk and m**d <= ENUM_STATE_CAP:
+        coarse = SamplerPlan("enumerate", grid_with_cells(domain, m, alpha_lip=alpha_lip),
+                             0, alpha_lip, tau, xi, zeta)
+        if zeta <= NO_CLIP_ZETA or m <= 2:
+            return coarse
 
     acc = xi / 2.0
     try:
         grid = build_grid(domain, alpha_lip, acc)
     except SizeCapError:
-        grid = None
-
-    if grid is not None:
-        # a walk of at least state_count steps is more work than scoring
-        # every state once, and its law is only approximate: walk only when
-        # its budget is below the state count.  Grids within ENUM_STATE_CAP
-        # skip the budget, which overflows float range at a large zeta.
-        if force_walk or grid.state_count > ENUM_STATE_CAP:
-            steps = mixing_time_bound(alpha_lip, tau, d, acc, zeta)
-            if force_walk or steps < grid.state_count:
-                return SamplerPlan("walk", grid, steps, alpha_lip, tau, xi, zeta)
-        return SamplerPlan("enumerate", grid, 0, alpha_lip, tau, xi, zeta)
-    if not force_walk:
-        m_min = max(1, int(math.ceil(2.0 * alpha_lip * tau)))
-        if m_min**d <= ENUM_STATE_CAP:
-            coarse = grid_with_cells(domain, m_min, alpha_lip=alpha_lip)
-            return SamplerPlan("enumerate", coarse, 0, alpha_lip, tau, xi, zeta)
-    raise SizeCapError(
-        f"no feasible grid: accuracy grid exceeds {WALK_STATE_CAP} states "
-        f"and no enumerable fallback exists (d={d}, alpha*tau={alpha_lip * tau:.3g})"
-    )
+        if coarse is not None:
+            return coarse
+        raise SizeCapError(
+            f"no feasible grid: accuracy grid exceeds {WALK_STATE_CAP} states "
+            f"and the coarse grid exceeds {ENUM_STATE_CAP} (d={d}, alpha*tau={alpha_lip * tau:.3g})"
+        ) from None
+    # a walk of at least state_count steps is more work than scoring every
+    # state once, and its law is only approximate: walk only when its
+    # budget is below the state count.  Grids within ENUM_STATE_CAP skip
+    # the budget, which overflows float range at a large zeta.
+    if force_walk or grid.state_count > ENUM_STATE_CAP:
+        steps = mixing_time_bound(alpha_lip, tau, d, acc, zeta)
+        if force_walk or steps < grid.state_count:
+            return SamplerPlan("walk", grid, steps, alpha_lip, tau, xi, zeta)
+    return SamplerPlan("enumerate", grid, 0, alpha_lip, tau, xi, zeta)
 
 
 @dataclass(frozen=True)
@@ -161,7 +169,7 @@ class SampleDetail:
     """One sample plus how it was produced."""
 
     theta: np.ndarray
-    cell: Optional[int]
+    cell: int
     plan: SamplerPlan
     restarts: int
     walk_faults: int
@@ -195,45 +203,34 @@ def sample_logconcave_detailed(
                         force_walk=force_walk)
 
     d = domain.dim
-    cube_low = np.asarray(domain.center, dtype=float) - plan.tau / 2.0
     grid = plan.grid
     table = cdf = None
-    anchor = None  # score the acceptance test compares against
     faults = 0
     used_engine = None
 
     for attempt in range(RESTART_CAP):
-        if plan.branch == "short_cube":
-            if anchor is None:
-                anchor = ext.eval(np.asarray(domain.center, dtype=float))
-            cell = None
-            theta = cube_low + plan.tau * gen.random(d)
+        if plan.branch == "enumerate":
+            if table is None:
+                table = ext.evaluate_many(grid.centers_all())
+                cdf = np.cumsum(stationary_from_scores(table))
+            cell = int(min(np.searchsorted(cdf, gen.random(), side="right"),
+                           grid.state_count - 1))
         else:
-            if plan.branch == "enumerate":
-                if table is None:
-                    table = ext.evaluate_many(grid.centers_all())
-                    cdf = np.cumsum(stationary_from_scores(table))
-                cell = int(min(np.searchsorted(cdf, gen.random(), side="right"),
-                               grid.state_count - 1))
-            elif plan.branch == "walk":
-                if table is None:
-                    table = np.full(grid.state_count, np.nan)
-                result = run_walk(
-                    table, grid, plan.walk_steps, gen,
-                    start_state=grid.cell_of(domain.center),
-                    engine=engine,
-                    score_fill=lambda idx: ext.evaluate_many(grid.centers(idx)),
-                )
-                cell, used_engine = result.state, result.engine
-                faults += result.faults
-            else:
-                raise ConfigurationError(f"unknown sampler branch {plan.branch!r}")
-            anchor = float(table[cell])
-            theta = grid.cube_low + (np.array(grid.unravel(cell), dtype=float)
-                                     + gen.random(d)) * grid.gamma
-        # accept with F'(theta) / (e * F'(anchor point)), then condition
-        # on landing inside the body
-        accept = math.exp(min(0.0, anchor - ext.eval(theta) - 1.0))
+            if table is None:
+                table = np.full(grid.state_count, np.nan)
+            result = run_walk(
+                table, grid, plan.walk_steps, gen,
+                start_state=grid.cell_of(domain.center),
+                engine=engine,
+                score_fill=lambda idx: ext.evaluate_many(grid.centers(idx)),
+            )
+            cell, used_engine = result.state, result.engine
+            faults += result.faults
+        theta = grid.cube_low + (np.array(grid.unravel(cell), dtype=float)
+                                 + gen.random(d)) * grid.gamma
+        # accept with exp(-f'(theta)) / (e * exp(-f'(center))), then
+        # condition on landing inside the body
+        accept = math.exp(min(0.0, float(table[cell]) - ext.eval(theta) - 1.0))
         if gen.random() < accept and domain.contains(theta):
             return SampleDetail(theta, cell, plan, attempt, faults, used_engine)
 

@@ -76,7 +76,13 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class MechanismResult:
-    """Output vector, spent budget, and a replayable parameter ledger."""
+    """Output vector, spent budget, and a replayable parameter ledger.
+
+    Only x_out (with the budget) is the private release.  The ledger is a
+    private record: it holds the seed, which with the data fixes x_out, and
+    restarts and walk_faults, which depend on the data and which no DP
+    claim covers.
+    """
 
     x_out: np.ndarray
     budget_spent: PrivacyBudget

@@ -7,9 +7,10 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from dpbilevel.errors import ConfigurationError
+from dpbilevel.errors import ConfigurationError, SizeCapError
 from dpbilevel.gridwalk import chain
-from dpbilevel.gridwalk.sampler import seed_and_generator
+from dpbilevel.gridwalk.grid import build_grid, grid_with_cells
+from dpbilevel.gridwalk.sampler import ENUM_STATE_CAP, SamplerPlan, seed_and_generator
 from dpbilevel.hypergrad import approx_hypergradient
 from dpbilevel.inner import phi_solution_pair, solve_lower_level
 from dpbilevel.mechanisms import (
@@ -293,3 +294,43 @@ def full_descent(p, Z, a, eps, delta, x0=None, overrides=None, rng=0):
         "privacy_certified": bool(schedule["privacy_certified"]),
     }
     return MechanismResult(x_out, PrivacyBudget(eps, delta), ledger, trajectory)
+
+
+def reference_plan(domain, alpha_lip, xi, zeta, force_walk=False) -> SamplerPlan:
+    """plan_sampler as it planned before enumeration took the coarse grid.
+
+    Three ways to a cell: "short_cube" (grid None) when alpha * tau < 1, the
+    accuracy grid (enumerated, or walked when the walk budget is below its
+    state count), and the coarse grid as a fallback when the accuracy grid
+    exceeds WALK_STATE_CAP.  A planning reference only: the sampler has no
+    short_cube arm.
+    """
+    if xi <= 0:
+        raise ConfigurationError("xi must be positive")
+    if zeta < 0:
+        raise ConfigurationError("zeta must be nonnegative")
+    tau = domain.inf_width
+    d = domain.dim
+    if alpha_lip <= 0.0:
+        grid = grid_with_cells(domain, 1)
+        branch = "walk" if force_walk else "enumerate"
+        return SamplerPlan(branch, grid, 1 if force_walk else 0, alpha_lip, tau, xi, zeta)
+    if alpha_lip * tau < 1.0 and not force_walk:
+        return SamplerPlan("short_cube", None, 0, alpha_lip, tau, xi, zeta)
+    acc = xi / 2.0
+    try:
+        grid = build_grid(domain, alpha_lip, acc)
+    except SizeCapError:
+        grid = None
+    if grid is not None:
+        if force_walk or grid.state_count > ENUM_STATE_CAP:
+            steps = chain.mixing_time_bound(alpha_lip, tau, d, acc, zeta)
+            if force_walk or steps < grid.state_count:
+                return SamplerPlan("walk", grid, steps, alpha_lip, tau, xi, zeta)
+        return SamplerPlan("enumerate", grid, 0, alpha_lip, tau, xi, zeta)
+    if not force_walk:
+        m_min = max(1, int(math.ceil(2.0 * alpha_lip * tau)))
+        if m_min**d <= ENUM_STATE_CAP:
+            coarse = grid_with_cells(domain, m_min, alpha_lip=alpha_lip)
+            return SamplerPlan("enumerate", coarse, 0, alpha_lip, tau, xi, zeta)
+    raise SizeCapError("no feasible grid")

@@ -354,9 +354,13 @@ def test_main_non_finite_budget_is_config_error(tmp_path, capsys):
     {"trials_per_cell": True},
     {"seed": 2.9},
     {"seed": "7"},
+    {"instance": {"name": "hard", "params": {"dd": 1}}},
+    {"instance": {"name": "hard", "params": {"d": 1, "n": 8}}},
+    {"instance": {"name": "lasso", "params": {}}},
 ], ids=["nan_epsilon", "negative_sweep_epsilon", "delta_above_one", "descent_without_delta",
         "zero_sweep_delta", "zero_n", "fractional_d", "fractional_trials", "bool_trials",
-        "fractional_seed", "string_seed"])
+        "fractional_seed", "string_seed", "unknown_instance_param", "n_as_instance_param",
+        "unknown_instance"])
 def test_main_bad_config_value_exits_1_before_any_trial(tmp_path, mutate):
     raw = config_dict(tmp_path / "out", **mutate)
     assert main(["run", write_config(tmp_path, raw)]) == 1

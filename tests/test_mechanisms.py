@@ -28,7 +28,7 @@ from dpbilevel.mechanisms import (
 )
 from dpbilevel.problem import AssumptionConstants
 from dpbilevel.rng import make_generator
-from oracles import full_descent
+from oracles import full_descent, reference_plan
 
 
 @pytest.fixture(scope="module")
@@ -138,9 +138,9 @@ def test_zero_width_domain_is_a_configuration_error(mechanism):
 def test_extension_point_and_batch_paths_agree(instance, params):
     """ExtendedEvaluator.eval matches a batch of one on every sampler score.
 
-    The acceptance test and the short-cube anchor score through eval, walk
-    fills and enumeration through evaluate_many; the two must give the same
-    bits inside the body and outside it.
+    The acceptance test scores its point through eval, walk fills and
+    enumeration through evaluate_many; the two must give the same bits
+    inside the body and outside it.
     """
     fx = make_instance(instance, **params)
     Z = fx.sample_dataset(12, seed=0)
@@ -632,23 +632,19 @@ def test_replay_from_parsed_json(quad, hard):
 
 
 def test_replay_refuses_a_ledger_planned_differently(quad, monkeypatch):
-    # a ledger recorded under another planner (here one sizing its grid for
-    # a quarter of xi) must not replay silently to a different point
+    # a ledger recorded under the former planner (which enumerated the
+    # accuracy grid here) must not replay silently to a different point
     fx, Z = quad
     real = sampler_module.plan_sampler
-
-    def other_planner(domain, alpha_lip, xi, zeta, force_walk=False):
-        return real(domain, alpha_lip, xi / 4.0, zeta, force_walk)
-
-    monkeypatch.setattr(sampler_module, "plan_sampler", other_planner)
+    monkeypatch.setattr(sampler_module, "plan_sampler", reference_plan)
     ledgers = [
         exponential_mechanism(fx.problem, Z, fx.constants, 1.2, 0.2, rng=7).ledger,
-        warm_start(fx.problem, Z, fx.constants, 1.0, 1e-3, 0.2, rng=8,
+        warm_start(fx.problem, Z, fx.constants, 2.4, 1e-3, 0.2, rng=8,
                    stage_b_overrides={"eta": 0.1, "T": 3}).ledger,
     ]
     monkeypatch.setattr(sampler_module, "plan_sampler", real)
-    for ledger, where in zip(ledgers, ["plan", "stage_a.plan"]):
-        with pytest.raises(ConfigurationError, match=rf"^ledger does not replay: {where}\."):
+    for ledger, where in zip(ledgers, ["plan.states", "stage_a.plan.states"]):
+        with pytest.raises(ConfigurationError, match=rf"^ledger does not replay: {where} "):
             replay_mechanism(fx.problem, Z, fx.constants, json.loads(json.dumps(ledger)))
 
 
@@ -679,11 +675,14 @@ def test_exponential_mechanism_json_roundtrip(quad, force_walk):
 
 
 def test_grad_norm_release_enumerates_grid_below_walk_budget():
-    # 129^2 = 16,641 states, one more than the enumeration cap, against a
-    # 12.4M-step walk: the planner samples the exact grid law instead
+    # at eps = 6 the score error zeta = eps/12 = 0.5 is above NO_CLIP_ZETA,
+    # so the accuracy grid runs: 129^2 = 16,641 states, one more than the
+    # enumeration cap, against a longer walk: the planner samples the exact
+    # grid law instead
     fx = make_instance("quadratic", d_x=2)
     Z = fx.sample_dataset(64, seed=0)
-    res = grad_norm_exp_mechanism(fx.problem, Z, fx.constants, 1.0, 1.0, rng=0)
+    res = grad_norm_exp_mechanism(fx.problem, Z, fx.constants, 6.0, 1.0, rng=0)
+    assert res.ledger["zeta"] == 0.5
     plan = res.ledger["plan"]
     assert plan["branch"] == "enumerate"
     assert plan["states"] == 16_641

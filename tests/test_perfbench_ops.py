@@ -28,7 +28,7 @@ def perfbench():
 
 
 @pytest.mark.parametrize("workload,label", [
-    ("release-grid", "exponential_mechanism/hard/d1/n16/eps1"),  # short cube
+    ("release-grid", "exponential_mechanism/hard/d1/n16/eps1"),  # one coarse cell
     ("audit", "run_audits/hard/d1/n32"),
     ("audit", "chain/d1/256cells"),
     # replayed: check re-runs the op from its ledger and, for a walk, on every engine
@@ -46,7 +46,8 @@ def test_one_op_of_each_kind_is_not_wrong(perfbench, workload, label):
     failures, wrong = ops.check(op, inputs, result, wl.deadline_s)
     assert not wrong, failures
     if workload == "release-grid":
-        assert result.ledger["plan"]["branch"] == "short_cube"
+        assert result.ledger["plan"]["branch"] == "enumerate"
+        assert result.ledger["plan"]["states"] == 1
     if workload == "release-walk":
         assert result.ledger["plan"]["branch"] == "walk"
     assert len(ops.digest(result)) == 64

@@ -15,13 +15,16 @@ from dpbilevel.gridwalk import sampler
 from dpbilevel.gridwalk.evaluator import Evaluator, ExtendedEvaluator
 from dpbilevel.gridwalk.sampler import (
     ENUM_STATE_CAP,
+    NO_CLIP_ZETA,
     grid_law,
     plan_sampler,
     sample_logconcave_detailed,
 )
 from dpbilevel.gridwalk.chain import mixing_time_bound
 from dpbilevel.gridwalk.engine import run_walk
+from dpbilevel.gridwalk.grid import grid_with_cells
 from dpbilevel.problem import Domain
+from oracles import reference_plan
 
 
 def box(d, half=0.5):
@@ -47,34 +50,58 @@ def pin_plan(monkeypatch, plan):
 # planning
 # ---------------------------------------------------------------------------
 
-def test_plan_short_cube_when_score_is_nearly_flat():
-    plan = plan_sampler(box(1, half=0.25), alpha_lip=1.0, xi=0.5, zeta=0.0)
-    assert plan.branch == "short_cube"
-    assert plan.grid is None and plan.walk_steps == 0
+def test_plan_one_cell_when_score_is_nearly_flat():
+    # 2 * alpha * tau = 1: the coarse grid is one cell, at any zeta (m <= 2)
+    for zeta in (0.0, 2.0):
+        plan = plan_sampler(box(1, half=0.25), alpha_lip=1.0, xi=0.5, zeta=zeta)
+        assert plan.branch == "enumerate"
+        assert plan.grid.state_count == 1 and plan.walk_steps == 0
+    # forced, the accuracy grid is walked: gamma = (xi/2) / (2 * alpha)
+    plan = plan_sampler(box(1, half=0.25), 1.0, 0.5, 0.0, force_walk=True)
+    assert plan.branch == "walk" and plan.grid.cells_per_axis == 4
+
+
+def test_plan_two_cells_per_axis_enumerate_where_they_may_clip():
+    # 2 * alpha * tau = 1.5 in d = 12: 2^12 coarse states, taken above
+    # NO_CLIP_ZETA too (the accuracy grid would be 11^12 states)
+    plan = plan_sampler(box(12, half=0.25), alpha_lip=1.5, xi=1.0, zeta=1.0)
+    assert plan.branch == "enumerate"
+    assert plan.grid.cells_per_axis == 2 and plan.grid.state_count == 4096
+    # three coarse cells per axis: the accuracy grid runs, gamma = (xi/2)/(2*alpha)
+    plan = plan_sampler(box(1, half=0.25), alpha_lip=2.5, xi=1.0, zeta=1.0)
+    assert plan.branch == "enumerate" and plan.grid.cells_per_axis == 5
 
 
 def test_plan_enumerates_small_grids():
-    plan = plan_sampler(box(1), alpha_lip=4.0, xi=0.5, zeta=0.0)
-    assert plan.branch == "enumerate"
-    assert plan.grid.cells_per_axis == 32  # spacing (xi/2)/(2*4*sqrt(1))
-    assert plan.walk_steps == 0
+    # the coarse grid, ceil(2 * alpha * tau) = 8 cells, up to NO_CLIP_ZETA;
+    # above it the accuracy grid, spacing (xi/2)/(2*4*sqrt(1))
+    for zeta in (0.0, NO_CLIP_ZETA):
+        plan = plan_sampler(box(1), alpha_lip=4.0, xi=0.5, zeta=zeta)
+        assert plan.branch == "enumerate" and plan.walk_steps == 0
+        assert plan.grid.cells_per_axis == 8
+    plan = plan_sampler(box(1), alpha_lip=4.0, xi=0.5, zeta=0.4)
+    assert plan.branch == "enumerate" and plan.walk_steps == 0
+    assert plan.grid.cells_per_axis == 32
 
 
 def test_plan_enumerates_grids_smaller_than_the_walk_budget():
-    # 566^2 = 320,356 states against a 116.8M-step walk: scoring every
-    # state once is less work than the walk and samples the law exactly
-    plan = plan_sampler(box(2), alpha_lip=2.0, xi=0.02, zeta=0.0)
+    # above NO_CLIP_ZETA: 566^2 = 320,356 accuracy states against a walk
+    # of more steps: scoring every state once is less work than the walk
+    # and samples the grid law exactly
+    plan = plan_sampler(box(2), alpha_lip=2.0, xi=0.02, zeta=0.4)
     assert plan.branch == "enumerate"
     assert plan.grid.state_count == 320_356 > ENUM_STATE_CAP
     assert plan.walk_steps == 0
-    assert plan.grid.state_count < mixing_time_bound(2.0, 1.0, 2, 0.01, 0.0)
+    assert plan.grid.state_count < mixing_time_bound(2.0, 1.0, 2, 0.01, 0.4)
 
 
 def test_plan_walks_when_the_budget_is_below_the_state_count():
-    plan = plan_sampler(box(4), alpha_lip=2.0, xi=0.5, zeta=0.0)
+    # the coarse grid, 8^5 = 32,768 states, is above ENUM_STATE_CAP, so the
+    # accuracy grid runs; its walk budget is below its state count
+    plan = plan_sampler(box(5), alpha_lip=4.0, xi=2.0, zeta=0.0)
     assert plan.branch == "walk"
-    assert plan.grid.state_count == 1_048_576
-    assert plan.walk_steps == 933_253
+    assert plan.grid.state_count == 1_889_568
+    assert plan.walk_steps == 762_342
 
 
 def test_plan_force_walk_walks_above_the_enumeration_cap():
@@ -100,9 +127,9 @@ def test_plan_walk_budget_grows_with_declared_error():
 
 
 def test_plan_coarse_fallback_keeps_enumeration_exact():
-    # accuracy-sized grid would blow past the walk cap; the planner falls
-    # back to the coarsest grid that still resolves the score
-    plan = plan_sampler(box(2), alpha_lip=40.0, xi=0.02, zeta=0.0)
+    # above NO_CLIP_ZETA the accuracy-sized grid would blow past the walk
+    # cap; the planner falls back to the coarse grid
+    plan = plan_sampler(box(2), alpha_lip=40.0, xi=0.02, zeta=0.5)
     assert plan.branch == "enumerate"
     assert plan.grid.cells_per_axis == 80  # ceil(2 * alpha * tau)
 
@@ -116,6 +143,34 @@ def test_plan_flat_score_single_cell():
 def test_plan_infeasible_raises():
     with pytest.raises(SizeCapError):
         plan_sampler(box(3), alpha_lip=1000.0, xi=0.01, zeta=0.0)
+
+
+def test_plan_matches_the_reference_planner_at_xi_equal_zeta():
+    """No plan moves category and no grid grows against the former planner.
+
+    The samplers always plan with xi = zeta (both are the ledger's zeta), so
+    the survey walks d, alpha * tau and xi = zeta on a log grid, planning
+    only.  Categories: enumerate (short_cube counts as enumerate), walk, or
+    the exception raised.
+    """
+    def outcome(planner, *args):
+        try:
+            plan = planner(*args)
+        except Exception as exc:  # noqa: BLE001 — SizeCapError, float overflow
+            return type(exc).__name__, None
+        states = None if plan.grid is None else plan.grid.state_count
+        return ("enumerate" if plan.branch == "short_cube" else plan.branch), states
+
+    seen = set()
+    for d in range(1, 13):
+        for alpha in np.logspace(-2, 4, 19):
+            for zeta in np.logspace(-4, math.log10(50.0), 15):
+                ref, ref_states = outcome(reference_plan, box(d), alpha, zeta, zeta)
+                new, states = outcome(plan_sampler, box(d), alpha, zeta, zeta)
+                assert new == ref, (d, alpha, zeta)
+                assert ref_states is None or states <= ref_states, (d, alpha, zeta)
+                seen.add(ref)
+    assert seen == {"enumerate", "SizeCapError"}
 
 
 def test_plan_argument_validation():
@@ -159,7 +214,6 @@ def test_extension_penalizes_outside_points():
 
 def test_grid_law_is_softmax_of_negated_scores():
     rng = np.random.default_rng(3)
-    from dpbilevel.gridwalk.grid import grid_with_cells
     grid = grid_with_cells(box(1), 12)
     scores = rng.normal(size=12)
     ev = Evaluator(lambda ts: scores[[grid.cell_of(t) for t in ts]],
@@ -191,24 +245,97 @@ def bin_masses(scale, grid, shift=0.0):
 
 
 def test_double_exponential_law_close_in_log_ratio(monkeypatch):
+    # the coarse grid (4 cells) never clips here, so the law is exact
+    # within its cells too: check it on bins four times finer
     domain = box(1)
     xi = 0.5
     ev = abs_evaluator(2.0)
     plan = plan_sampler(domain, 2.0, xi, 0.0)
-    assert plan.branch == "enumerate" and plan.grid.cells_per_axis == 16
+    assert plan.branch == "enumerate" and plan.grid.cells_per_axis == 4
     pin_plan(monkeypatch, plan)
     gen = np.random.default_rng(99)
     draws = np.array([
         sample_logconcave_detailed(ev, domain, 2.0, xi, gen).theta[0]
         for _ in range(8_000)
     ])
-    counts, _ = np.histogram(
-        draws, bins=plan.grid.cells_per_axis, range=(-0.5, 0.5))
+    bins = grid_with_cells(domain, 16)
+    counts, _ = np.histogram(draws, bins=16, range=(-0.5, 0.5))
     emp = counts / counts.sum()
-    target = bin_masses(2.0, plan.grid)
+    target = bin_masses(2.0, bins)
     assert counts.min() > 0
     worst = np.max(np.abs(np.log(emp) - np.log(target)))
     assert worst <= xi + 0.05
+
+
+def cosine_evaluator(scale, zeta, gamma):
+    """scale * |t| minus zeta * cos(2 pi t / gamma): +zeta at the centers of
+    a gamma grid on [-1/2, 1/2] with an even cell count, -zeta at its cell
+    edges, the perturbation that pushes the acceptance step hardest."""
+    def evaluate_many(thetas):
+        t = thetas[:, 0]
+        return scale * np.abs(t) - zeta * np.cos(2.0 * np.pi * t / gamma)
+
+    return Evaluator(evaluate_many, zeta_bound=zeta, alpha_lip=scale)
+
+
+def accepted_log_ratio(ext, grid, per_cell=64):
+    """log(accepted density / exp(-f')) on sub-points of every cell.
+
+    Composes the enumeration table with the acceptance rule: cell law
+    exp(-f'(c)) / sum, uniform on the cell, accepted with
+    exp(min(0, f'(c) - f'(theta) - 1)).
+    """
+    table = ext.evaluate_many(grid.centers_all())
+    log_law = -table - scipy.special.logsumexp(-table)
+    offsets = (np.arange(per_cell) + 0.5) / per_cell
+    out = []
+    for cell in range(grid.state_count):
+        thetas = (grid.cube_low[0] + (cell + offsets) * grid.gamma)[:, None]
+        f_theta = np.array([ext.eval(t) for t in thetas])
+        accept = np.minimum(0.0, table[cell] - f_theta - 1.0)
+        out.append(log_law[cell] - np.log(grid.gamma) + accept + f_theta)
+    return np.concatenate(out)
+
+
+def test_coarse_enumeration_is_exact_below_the_clip_bound():
+    # the score's extension has alpha = 12 on box(1), so the coarse grid
+    # has 24 cells; zeta = 0.3 <= NO_CLIP_ZETA with the worst perturbation
+    domain = box(1)
+    ext = ExtendedEvaluator(cosine_evaluator(2.0, 0.3, 1.0 / 24), domain, 2.0)
+    plan = plan_sampler(domain, ext.alpha_lip, 0.3, 0.3)
+    assert plan.branch == "enumerate" and plan.grid.cells_per_axis == 24
+    ratio = accepted_log_ratio(ext, plan.grid)
+    assert np.ptp(ratio) <= 1e-12
+
+
+def test_coarse_enumeration_clipping_control_is_not_exact():
+    # zeta = 0.6 > NO_CLIP_ZETA with the same perturbation, pinned to the
+    # same coarse grid: acceptance clips near the cell edges, and the
+    # accepted density is no longer proportional to exp(-f')
+    domain = box(1)
+    ext = ExtendedEvaluator(cosine_evaluator(2.0, 0.6, 1.0 / 24), domain, 2.0)
+    assert plan_sampler(domain, ext.alpha_lip, 0.6, 0.6).grid.cells_per_axis != 24
+    ratio = accepted_log_ratio(ext, grid_with_cells(domain, 24, alpha_lip=ext.alpha_lip))
+    assert np.ptp(ratio) > 0.1
+
+
+def test_coarse_enumeration_draws_follow_the_perturbed_law():
+    # KS test of sampler draws against exp(-f') by quadrature
+    domain = box(1)
+    ev = cosine_evaluator(2.0, 0.3, 1.0 / 24)
+    ext = ExtendedEvaluator(ev, domain, 2.0)
+    gen = np.random.default_rng(2024)
+    draws = np.sort([
+        sample_logconcave_detailed(ev, domain, 2.0, 0.3, gen).theta[0]
+        for _ in range(2_000)
+    ])
+    density = lambda t: math.exp(-ext.eval(np.array([t])))
+    edges = np.concatenate([[-0.5], draws])
+    pieces = [scipy.integrate.quad(density, a, b)[0] for a, b in zip(edges[:-1], edges[1:])]
+    cdf = np.cumsum(pieces) / (sum(pieces) + scipy.integrate.quad(density, draws[-1], 0.5)[0])
+    n = len(draws)
+    stat = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert scipy.stats.kstwo.sf(stat, n) > 0.01
 
 
 def test_perturbed_oracle_stays_within_declared_envelope(monkeypatch):
@@ -269,15 +396,16 @@ def test_detail_fields_and_domain_membership():
 
 def test_restart_cap_exhaustion_raises(monkeypatch):
     domain = box(1, half=0.25)
-    # spikes the score away from the cube center: the short-cube acceptance
-    # test then rejects essentially every proposal.  The plan is pinned so
-    # the spike's (untruthful) Lipschitz declaration stays in force.
+    # spikes the score away from the cube center: the acceptance test
+    # against the one coarse cell's center then rejects essentially every
+    # proposal.  The plan is pinned so the spike's (untruthful) Lipschitz
+    # declaration stays in force.
     ev = Evaluator(
         lambda ts: np.where(np.abs(ts[:, 0]) < 1e-12, 0.0, 80.0),
         zeta_bound=0.0, alpha_lip=0.5,
     )
     plan = plan_sampler(domain, 0.5, 0.5, 0.0)
-    assert plan.branch == "short_cube"
+    assert plan.branch == "enumerate" and plan.grid.state_count == 1
     pin_plan(monkeypatch, plan)
     with pytest.raises(SamplerFailure):
         sample_logconcave_detailed(ev, domain, L_lip2=0.5, xi=0.5,
