@@ -57,7 +57,7 @@ ENUM_STATE_CAP = 2**14
 #: zeta up to which the coarse grid's acceptance step never clips:
 #: alpha*gamma/2 + 2*zeta - 1 <= 1/4 + 3/4 - 1
 NO_CLIP_ZETA = 3.0 / 8.0
-#: attempts (uniform proposals, or full walks) before the sampler gives up
+#: attempts (cell draws, or full walks) before the sampler gives up
 RESTART_CAP = 64
 
 
@@ -128,12 +128,9 @@ def plan_sampler(
     tau = domain.inf_width
     d = domain.dim
 
-    if alpha_lip <= 0.0:
-        # flat score: one cell is a faithful grid
-        grid = grid_with_cells(domain, 1)
-        branch = "walk" if force_walk else "enumerate"
-        return SamplerPlan(branch, grid, 1 if force_walk else 0,
-                           alpha_lip, tau, xi, zeta)
+    if alpha_lip <= 0.0 and force_walk:
+        # flat score: one cell is a faithful grid (unforced, it is the coarse one)
+        return SamplerPlan("walk", grid_with_cells(domain, 1), 1, alpha_lip, tau, xi, zeta)
 
     m = max(1, int(math.ceil(2.0 * alpha_lip * tau)))
     coarse = None
@@ -149,9 +146,11 @@ def plan_sampler(
     except SizeCapError:
         if coarse is not None:
             return coarse
+        why = "force_walk bars the coarse grid" if force_walk else \
+            f"the coarse grid exceeds {ENUM_STATE_CAP}"
         raise SizeCapError(
             f"no feasible grid: accuracy grid exceeds {WALK_STATE_CAP} states "
-            f"and the coarse grid exceeds {ENUM_STATE_CAP} (d={d}, alpha*tau={alpha_lip * tau:.3g})"
+            f"and {why} (d={d}, alpha*tau={alpha_lip * tau:.3g})"
         ) from None
     # a walk of at least state_count steps is more work than scoring every
     # state once, and its law is only approximate: walk only when its

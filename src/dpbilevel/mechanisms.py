@@ -610,32 +610,28 @@ def replay_mechanism(
     return replayed
 
 
+_MISSING = object()
+
+
 def _first_difference(recorded, replayed, path: str = "") -> Optional[str]:
     """Dotted key path of the first value that differs, or None if equal.
 
-    Lists are walked by index; two NaNs count as equal.
+    Dicts are walked by key and equal-length lists by index.
     """
     if isinstance(recorded, dict) and isinstance(replayed, dict):
-        for key in [*recorded, *(k for k in replayed if k not in recorded)]:
-            sub = f"{path}.{key}" if path else str(key)
-            if key not in recorded or key not in replayed:
-                return sub
-            where = _first_difference(recorded[key], replayed[key], sub)
-            if where is not None:
-                return where
-        return None
-    if isinstance(recorded, (list, tuple)) and isinstance(replayed, (list, tuple)):
-        if len(recorded) != len(replayed):
-            return path
-        for i, (r, s) in enumerate(zip(recorded, replayed)):
-            where = _first_difference(r, s, f"{path}.{i}")
-            if where is not None:
-                return where
-        return None
-    same = recorded == replayed or (
-        isinstance(recorded, float) and isinstance(replayed, float)
-        and math.isnan(recorded) and math.isnan(replayed))
-    return None if same else path
+        keys = [*recorded, *(k for k in replayed if k not in recorded)]
+        pairs = [(f"{path}.{k}" if path else str(k), recorded.get(k, _MISSING),
+                  replayed.get(k, _MISSING)) for k in keys]
+    elif isinstance(recorded, list) and isinstance(replayed, list) \
+            and len(recorded) == len(replayed):
+        pairs = [(f"{path}.{i}", r, s) for i, (r, s) in enumerate(zip(recorded, replayed))]
+    else:
+        return None if recorded == replayed else path
+    for sub, r, s in pairs:
+        where = _first_difference(r, s, sub)
+        if where is not None:
+            return where
+    return None
 
 
 class _MechanismSpec(NamedTuple):

@@ -138,6 +138,9 @@ def test_plan_flat_score_single_cell():
     plan = plan_sampler(box(3), alpha_lip=0.0, xi=0.1, zeta=0.0)
     assert plan.branch == "enumerate"
     assert plan.grid.state_count == 1
+    plan = plan_sampler(box(3), alpha_lip=0.0, xi=0.1, zeta=0.0, force_walk=True)
+    assert plan.branch == "walk" and plan.walk_steps == 1
+    assert plan.grid.state_count == 1
 
 
 def test_plan_infeasible_raises():
@@ -161,10 +164,13 @@ def test_plan_matches_the_reference_planner_at_xi_equal_zeta():
         states = None if plan.grid is None else plan.grid.state_count
         return ("enumerate" if plan.branch == "short_cube" else plan.branch), states
 
+    # the log grid plus points just above NO_CLIP_ZETA, where in d >= 9 the
+    # two-cell clause keeps the former short-cube plans enumerating
+    zetas = np.union1d(np.logspace(-4, math.log10(50.0), 15), [0.4, 0.45])
     seen = set()
     for d in range(1, 13):
         for alpha in np.logspace(-2, 4, 19):
-            for zeta in np.logspace(-4, math.log10(50.0), 15):
+            for zeta in zetas:
                 ref, ref_states = outcome(reference_plan, box(d), alpha, zeta, zeta)
                 new, states = outcome(plan_sampler, box(d), alpha, zeta, zeta)
                 assert new == ref, (d, alpha, zeta)
@@ -327,7 +333,7 @@ def test_coarse_enumeration_draws_follow_the_perturbed_law():
     gen = np.random.default_rng(2024)
     draws = np.sort([
         sample_logconcave_detailed(ev, domain, 2.0, 0.3, gen).theta[0]
-        for _ in range(2_000)
+        for _ in range(1_500)
     ])
     density = lambda t: math.exp(-ext.eval(np.array([t])))
     edges = np.concatenate([[-0.5], draws])
@@ -410,6 +416,23 @@ def test_restart_cap_exhaustion_raises(monkeypatch):
     with pytest.raises(SamplerFailure):
         sample_logconcave_detailed(ev, domain, L_lip2=0.5, xi=0.5,
                                    rng=np.random.default_rng(0))
+
+
+def test_one_cell_enumeration_is_exact_at_the_clip_bound(monkeypatch):
+    # f(t) = 2t on one cell of width 1: f(c) - f(theta) - 1 reaches 0 at
+    # the left edge and never exceeds it, so the draws follow exp(-2t)
+    # exactly, including where f(theta) < f(c) and acceptance is the
+    # steepest; KS against the closed-form CDF
+    domain = box(1)
+    ev = Evaluator(lambda ts: 2.0 * ts[:, 0], zeta_bound=0.0, alpha_lip=2.0)
+    plan = plan_sampler(domain, 0.5, 0.5, 0.0)
+    assert plan.branch == "enumerate" and plan.grid.state_count == 1
+    pin_plan(monkeypatch, plan)
+    gen = np.random.default_rng(31)
+    draws = [sample_logconcave_detailed(ev, domain, 2.0, 0.5, gen).theta[0]
+             for _ in range(2_000)]
+    cdf = lambda t: (math.e - np.exp(-2.0 * t)) / (math.e - 1.0 / math.e)
+    assert scipy.stats.kstest(draws, cdf).pvalue > 0.01
 
 
 def test_integer_seed_reproduces_draws():
