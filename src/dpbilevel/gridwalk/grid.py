@@ -105,13 +105,8 @@ def build_grid(domain: Domain, alpha_lip: float, eps_acc: float) -> GridSpec:
     return _make(domain, cells)
 
 
-def grid_with_cells(domain: Domain, cells_per_axis: int, alpha_lip: float | None = None) -> GridSpec:
-    """Explicitly sized grid; validates gamma <= 1/(2*alpha_lip) when given."""
+def grid_with_cells(domain: Domain, cells_per_axis: int) -> GridSpec:
+    """Explicitly sized grid."""
     if cells_per_axis < 1:
         raise ConfigurationError("cells_per_axis must be >= 1")
-    spec = _make(domain, cells_per_axis)
-    if alpha_lip is not None and alpha_lip > 0 and spec.gamma > 1.0 / (2.0 * alpha_lip) * (1 + 1e-12):
-        raise ConfigurationError(
-            f"gamma {spec.gamma} exceeds 1/(2 alpha_lip) = {1.0 / (2 * alpha_lip)}"
-        )
-    return spec
+    return _make(domain, cells_per_axis)

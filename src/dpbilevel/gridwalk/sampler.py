@@ -11,7 +11,8 @@ body.  A rejection discards the whole attempt, up to RESTART_CAP attempts.
 plan_sampler picks how c is drawn, once:
 
 * enumerate -- every cell is scored once and c comes from the exact Gibbs
-  law over centers, on the coarse grid of ceil(2 alpha tau) cells per axis.
+  law over centers, on the coarse grid of ceil(2 alpha tau) cells per axis,
+  or on one cell where that would be two per axis (see plan_sampler).
 * walk -- c is where the lazy Metropolis chain on the accuracy grid
   (build_grid) stands after its closed-form step budget.  The first touch
   of a cell scores the unscored cells of its fill window (see
@@ -30,7 +31,8 @@ moves by at most alpha*gamma/2 between a center and its cell, so
 f'(c) - f'(theta) - 1 <= alpha*gamma/2 + 2*zeta - 1.  Where that is positive
 the accepted density's log-ratio to exp(-f') moves by at most that much.
 The coarse grid has alpha*gamma/2 <= 1/4, so it never clips for
-zeta <= NO_CLIP_ZETA = 3/8.  A grid's fineness serves only the walk's
+zeta <= NO_CLIP_ZETA = 3/8; one cell (gamma = tau) never clips for
+alpha*tau/2 + 2*zeta <= 1.  A grid's fineness serves only the walk's
 mixing, and the finer accuracy grid shrinks the clip at larger zeta.
 """
 
@@ -115,6 +117,13 @@ def plan_sampler(
     * m <= 2, where the whole cube is at most two cells wide;
     * the accuracy grid exceeds WALK_STATE_CAP, so it has no other answer.
 
+    Where alpha*tau < 1 (m <= 2) the grid is one cell instead when that
+    cell does not clip (alpha*tau/2 + 2*zeta <= 1) or when 2**d exceeds
+    ENUM_STATE_CAP; the latter clips by at most alpha*tau/2 + 2*zeta - 1,
+    as a uniform proposal on the cube against its center does.  So the
+    two-cell grid, with its 2**d scores, runs only where it buys a smaller
+    clip.
+
     Otherwise the accuracy grid (build_grid at xi/2, the other half of xi
     going to walk mixing) is enumerated when it has at most
     max(ENUM_STATE_CAP, walk steps) states, walk steps being
@@ -133,9 +142,12 @@ def plan_sampler(
         return SamplerPlan("walk", grid_with_cells(domain, 1), 1, alpha_lip, tau, xi, zeta)
 
     m = max(1, int(math.ceil(2.0 * alpha_lip * tau)))
+    if alpha_lip * tau < 1.0 and (alpha_lip * tau / 2.0 + 2.0 * zeta <= 1.0
+                                  or 2**d > ENUM_STATE_CAP):
+        m = 1
     coarse = None
     if not force_walk and m**d <= ENUM_STATE_CAP:
-        coarse = SamplerPlan("enumerate", grid_with_cells(domain, m, alpha_lip=alpha_lip),
+        coarse = SamplerPlan("enumerate", grid_with_cells(domain, m),
                              0, alpha_lip, tau, xi, zeta)
         if zeta <= NO_CLIP_ZETA or m <= 2:
             return coarse

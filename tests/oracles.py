@@ -331,6 +331,6 @@ def reference_plan(domain, alpha_lip, xi, zeta, force_walk=False) -> SamplerPlan
     if not force_walk:
         m_min = max(1, int(math.ceil(2.0 * alpha_lip * tau)))
         if m_min**d <= ENUM_STATE_CAP:
-            coarse = grid_with_cells(domain, m_min, alpha_lip=alpha_lip)
+            coarse = grid_with_cells(domain, m_min)
             return SamplerPlan("enumerate", coarse, 0, alpha_lip, tau, xi, zeta)
     raise SizeCapError("no feasible grid")

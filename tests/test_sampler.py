@@ -61,12 +61,19 @@ def test_plan_one_cell_when_score_is_nearly_flat():
     assert plan.branch == "walk" and plan.grid.cells_per_axis == 4
 
 
-def test_plan_two_cells_per_axis_enumerate_where_they_may_clip():
-    # 2 * alpha * tau = 1.5 in d = 12: 2^12 coarse states, taken above
-    # NO_CLIP_ZETA too (the accuracy grid would be 11^12 states)
-    plan = plan_sampler(box(12, half=0.25), alpha_lip=1.5, xi=1.0, zeta=1.0)
-    assert plan.branch == "enumerate"
-    assert plan.grid.cells_per_axis == 2 and plan.grid.state_count == 4096
+def test_plan_two_cells_per_axis_only_where_one_cell_clips():
+    # 2 * alpha * tau = 1.5: one cell clips when alpha*tau/2 + 2*zeta > 1,
+    # i.e. zeta > 0.3125.  The two-cell grid is taken there, also above
+    # NO_CLIP_ZETA (the accuracy grid would be 11^12 states)
+    for zeta, cells in ((0.1, 1), (0.3125, 1), (0.35, 2), (1.0, 2)):
+        plan = plan_sampler(box(12, half=0.25), alpha_lip=1.5, xi=1.0, zeta=zeta)
+        assert plan.branch == "enumerate" and plan.walk_steps == 0
+        assert plan.grid.cells_per_axis == cells
+    # 2^15 states exceed ENUM_STATE_CAP: one cell, at any zeta (the
+    # accuracy grid at xi = 0.1 would be 117^15 states)
+    for zeta in (0.1, 1.0):
+        plan = plan_sampler(box(15), alpha_lip=0.75, xi=0.1, zeta=zeta)
+        assert plan.branch == "enumerate" and plan.grid.state_count == 1
     # three coarse cells per axis: the accuracy grid runs, gamma = (xi/2)/(2*alpha)
     plan = plan_sampler(box(1, half=0.25), alpha_lip=2.5, xi=1.0, zeta=1.0)
     assert plan.branch == "enumerate" and plan.grid.cells_per_axis == 5
@@ -153,30 +160,39 @@ def test_plan_matches_the_reference_planner_at_xi_equal_zeta():
 
     The samplers always plan with xi = zeta (both are the ledger's zeta), so
     the survey walks d, alpha * tau and xi = zeta on a log grid, planning
-    only.  Categories: enumerate (short_cube counts as enumerate), walk, or
-    the exception raised.
+    only.  Categories: enumerate (short_cube counts as enumerating one
+    state), walk, or the exception raised.  The one growth allowed is the
+    two-cell grid where one cell would clip: 2^d <= ENUM_STATE_CAP scores
+    where short_cube scored one.
     """
     def outcome(planner, *args):
         try:
             plan = planner(*args)
         except Exception as exc:  # noqa: BLE001 — SizeCapError, float overflow
             return type(exc).__name__, None
-        states = None if plan.grid is None else plan.grid.state_count
-        return ("enumerate" if plan.branch == "short_cube" else plan.branch), states
+        if plan.branch == "short_cube":
+            return "enumerate", 1
+        return plan.branch, plan.grid.state_count
 
     # the log grid plus points just above NO_CLIP_ZETA, where in d >= 9 the
-    # two-cell clause keeps the former short-cube plans enumerating
-    zetas = np.union1d(np.logspace(-4, math.log10(50.0), 15), [0.4, 0.45])
-    seen = set()
-    for d in range(1, 13):
-        for alpha in np.logspace(-2, 4, 19):
+    # two-cell clause keeps the former short-cube plans enumerating, and
+    # alpha * tau in (1/2, 1), where the coarse grid has two cells per axis
+    zetas = np.union1d(np.logspace(-4, math.log10(50.0), 15), [0.3, 0.4, 0.45])
+    alphas = np.union1d(np.logspace(-2, 4, 19), [0.6, 0.75, 0.9])
+    seen, grown = set(), set()
+    for d in range(1, 21):
+        for alpha in alphas:
             for zeta in zetas:
                 ref, ref_states = outcome(reference_plan, box(d), alpha, zeta, zeta)
                 new, states = outcome(plan_sampler, box(d), alpha, zeta, zeta)
                 assert new == ref, (d, alpha, zeta)
-                assert ref_states is None or states <= ref_states, (d, alpha, zeta)
+                if ref_states is not None and states > ref_states:
+                    assert states == 2**d <= ENUM_STATE_CAP, (d, alpha, zeta)
+                    assert alpha / 2 + 2 * zeta > 1, (d, alpha, zeta)
+                    grown.add(d)
                 seen.add(ref)
     assert seen == {"enumerate", "SizeCapError"}
+    assert grown == set(range(1, 15))
 
 
 def test_plan_argument_validation():
@@ -321,7 +337,7 @@ def test_coarse_enumeration_clipping_control_is_not_exact():
     domain = box(1)
     ext = ExtendedEvaluator(cosine_evaluator(2.0, 0.6, 1.0 / 24), domain, 2.0)
     assert plan_sampler(domain, ext.alpha_lip, 0.6, 0.6).grid.cells_per_axis != 24
-    ratio = accepted_log_ratio(ext, grid_with_cells(domain, 24, alpha_lip=ext.alpha_lip))
+    ratio = accepted_log_ratio(ext, grid_with_cells(domain, 24))
     assert np.ptp(ratio) > 0.1
 
 
