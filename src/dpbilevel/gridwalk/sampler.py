@@ -12,7 +12,7 @@ plan_sampler picks how c is drawn, once:
 
 * enumerate -- every cell is scored once and c comes from the exact Gibbs
   law over centers, on the coarse grid of ceil(2 alpha tau) cells per axis,
-  or on one cell where that would be two per axis (see plan_sampler).
+  or on one cell in some cases where that grid has two (see plan_sampler).
 * walk -- c is where the lazy Metropolis chain on the accuracy grid
   (build_grid) stands after its closed-form step budget.  The first touch
   of a cell scores the unscored cells of its fill window (see
