@@ -39,7 +39,8 @@ from .gridwalk.grid import grid_with_cells
 from .hypergrad import approx_hypergradient
 from .inner import certificate_floor, solve_lower_level
 from .instances import InstanceFixture, make_instance
-from .mechanisms import K_REG, MECHANISMS, _alpha_fallback, mechanism_grid_law
+from .mechanisms import (K_REG, MECHANISMS, _COUNT, PrivacyBudget, _alpha_fallback, _real,
+                         check_inputs, mechanism_grid_law)
 from .problem import AssumptionConstants, derive_constants
 from .rng import derive_seed, make_generator
 
@@ -50,24 +51,15 @@ MECHANISM_NAMES = tuple(MECHANISMS)
 _UNSETTABLE = {"eps", "delta", "x0"}
 #: instance parameter that plays the role of the sweep axis "d"
 _DIM_PARAM = {"hard": "d", "quadratic": "d_x", "ridge": "feature_dim"}
-#: what each numeric config value must be, besides a finite non-bool number
+#: what the config's own values must be (check_inputs reads it); the budget
+#: is checked by PrivacyBudget and each cell's mechanism keywords by the
+#: mechanisms' own table
 _RULES = {
-    "n": ("a positive integer", lambda v: v >= 1 and float(v).is_integer()),
-    "d": ("a positive integer", lambda v: v >= 1 and float(v).is_integer()),
-    "epsilon": ("positive and finite", lambda v: v > 0),
-    "delta": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "trials_per_cell": ("an integer >= 1", lambda v: v >= 1 and float(v).is_integer()),
-    "seed": ("an integer", lambda v: float(v).is_integer()),
+    "n": _COUNT,
+    "d": _COUNT,
+    "trials_per_cell": _COUNT,
+    "seed": ("an integer", _real(lambda v: abs(v) < math.inf and v == int(v))),
 }
-
-
-def _checked(key: str, value, where: str = ""):
-    """value if key's rule accepts it, else ConfigurationError naming both."""
-    rule, ok = _RULES[key]
-    if isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and math.isfinite(value) and ok(value):
-        return value
-    raise ConfigurationError(f"{where}{key} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -127,8 +119,7 @@ class ExperimentConfig:
         budget = raw["budget"]
         if not isinstance(budget, dict) or set(budget) - {"epsilon", "delta"}:
             raise ConfigurationError("budget must be {'epsilon': ..., 'delta': ...}")
-        epsilon = float(_checked("epsilon", budget.get("epsilon", 1.0), "budget "))
-        delta = float(_checked("delta", budget.get("delta", 0.0), "budget "))
+        budget = PrivacyBudget(budget.get("epsilon", 1.0), budget.get("delta", 0.0))
 
         sweep = dict(raw.get("sweep", {}))
         bad_axes = set(sweep) - set(SWEEP_AXES)
@@ -139,25 +130,30 @@ class ExperimentConfig:
         for axis, values in sweep.items():
             if not isinstance(values, (list, tuple)) or len(values) == 0:
                 raise ConfigurationError(f"sweep axis {axis!r} needs a nonempty list")
-            for value in values:
-                _checked(axis, value, "sweep ")
-        if "delta" in MECHANISMS[mech_name].params and 0.0 in sweep.get("delta", [delta]):
-            raise ConfigurationError(f"{mech_name} needs delta in (0, 1), got 0")
+            if axis in _RULES:  # the budget axes are checked cell by cell below
+                for value in values:
+                    check_inputs({axis: value}, _RULES)
+        trials = raw.get("trials_per_cell", 1)
+        check_inputs({"trials_per_cell": trials, "seed": raw["seed"]}, _RULES)
 
-        trials = int(_checked("trials_per_cell", raw.get("trials_per_cell", 1)))
-
-        return cls(
+        config = cls(
             instance_name=inst_name,
             instance_params=inst_params,
             mechanism_name=mech_name,
             mechanism_params=mech_params,
-            epsilon=epsilon,
-            delta=delta,
+            epsilon=float(budget.epsilon),
+            delta=float(budget.delta),
             sweep=sweep,
-            trials_per_cell=trials,
-            seed=int(_checked("seed", raw["seed"])),
+            trials_per_cell=int(trials),
+            seed=int(raw["seed"]),
             output_dir=str(raw["output_dir"]),
         )
+        # every trial's mechanism keywords, refused here rather than per trial
+        for cell in _cells(config):
+            eps, delta = cell.get("epsilon", config.epsilon), cell.get("delta", config.delta)
+            PrivacyBudget(eps, delta)
+            check_inputs(_mechanism_kwargs(config, eps, delta))
+        return config
 
 
 def _read_json(path: str) -> dict:
@@ -197,16 +193,21 @@ def _build_fixture(config: ExperimentConfig, cell: dict) -> InstanceFixture:
     return make_instance(config.instance_name, **params)
 
 
+def _mechanism_kwargs(config: ExperimentConfig, eps: float, delta: float) -> dict:
+    """A trial's mechanism keywords: the cell's budget, then defaults the
+    config params may override."""
+    base = {"eps": eps, "delta": delta, "xi": eps, "mode": "erm"}
+    kwargs = {k: v for k, v in base.items() if k in MECHANISMS[config.mechanism_name].params}
+    kwargs.update(config.mechanism_params)
+    return kwargs
+
+
 def _run_mechanism(config: ExperimentConfig, fixture: InstanceFixture, Z,
                    eps: float, delta: float, seed: int):
-    name = config.mechanism_name
-    # the cell's budget, then defaults the config params may override
-    base = {"eps": eps, "delta": delta, "xi": eps, "mode": "erm"}
-    kwargs = {k: v for k, v in base.items() if k in MECHANISMS[name].params}
-    kwargs.update(config.mechanism_params)
     # looked up at call time, so a rebound mechanisms attribute is honored
-    return getattr(mechanisms, name)(
-        fixture.problem, Z, fixture.constants, rng=seed, **kwargs)
+    return getattr(mechanisms, config.mechanism_name)(
+        fixture.problem, Z, fixture.constants, rng=seed,
+        **_mechanism_kwargs(config, eps, delta))
 
 
 def _flatten_ledger(ledger: dict, prefix: str = "mech.") -> dict:

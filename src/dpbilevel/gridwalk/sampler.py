@@ -167,9 +167,16 @@ def plan_sampler(
     # a walk of at least state_count steps is more work than scoring every
     # state once, and its law is only approximate: walk only when its
     # budget is below the state count.  Grids within ENUM_STATE_CAP skip
-    # the budget, which overflows float range at a large zeta.
+    # the budget; one past float range (e^{12 zeta} at a large zeta) is a
+    # SizeCapError.
     if force_walk or grid.state_count > ENUM_STATE_CAP:
-        steps = mixing_time_bound(alpha_lip, tau, d, acc, zeta)
+        try:
+            steps = mixing_time_bound(alpha_lip, tau, d, acc, zeta)
+        except OverflowError:
+            raise SizeCapError(
+                f"walk step budget exceeds float range "
+                f"(d={d}, alpha*tau={alpha_lip * tau:.3g}, zeta={zeta:.3g})"
+            ) from None
         if force_walk or steps < grid.state_count:
             return SamplerPlan("walk", grid, steps, alpha_lip, tau, xi, zeta)
     return SamplerPlan("enumerate", grid, 0, alpha_lip, tau, xi, zeta)

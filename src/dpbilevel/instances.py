@@ -22,8 +22,8 @@ so that a point rounds like a row of any batch; closed forms take points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class InstanceFixture:
     phi_star: Optional[Callable[[Dataset], float]]
     sample_dataset: Callable[[int, int], Dataset]
     grad_phi: Callable[[np.ndarray, Dataset], np.ndarray]
-    params: Dict = field(default_factory=dict)
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -151,7 +150,6 @@ def make_hard_instance(
         y_star=y_star, phi=phi, x_star=x_star, phi_star=phi_star,
         sample_dataset=lambda n, seed=0: sample_hard_dataset(n, d, seed),
         grad_phi=grad_phi,
-        params={"L_fy": L_fy, "mu_g": mu_g, "D_x": D_x, "D_y": D_y, "d": d},
     )
 
 
@@ -243,7 +241,6 @@ def make_quadratic_instance(d_x: int = 2, d_y: int = 2, seed: int = 0) -> Instan
         name="quadratic", problem=problem, constants=constants,
         y_star=y_star, phi=phi, x_star=x_star, phi_star=phi_star,
         sample_dataset=sample_dataset, grad_phi=grad_phi,
-        params={"d_x": d_x, "d_y": d_y, "seed": seed},
     )
 
 
@@ -375,9 +372,6 @@ def make_ridge_hyperparam_instance(
         name="ridge", problem=problem, constants=constants,
         y_star=y_star, phi=phi, x_star=None, phi_star=None,
         sample_dataset=sample_dataset, grad_phi=grad_phi,
-        params={"feature_dim": k, "seed": seed, "x_half": x_half,
-                "u_max": u_max, "v_max": v_max, "weight_floor": weight_floor,
-                "val_shrink": val_shrink, "noise_scale": noise_scale},
     )
 
 

@@ -25,17 +25,22 @@ seed):
 
 Every result carries a ledger sufficient to replay it bit-for-bit
 (replay_mechanism); its ledger is plain JSON, and replaying from the parsed
-ledger is bit-identical too.  MECHANISMS, at the bottom, is the one place a
-mechanism's name maps to the keywords its ledger records (which replay and
-the CLI pass back in) and, for the samplers, to the score whose exact grid
-law the audits check (mechanism_grid_law).  A score is one batch function
-of the points (an Evaluator) whose rows keep their bits in a batch of any
-size (tested); the sampler's walk scores a single point as a batch of one.
+ledger is bit-identical too.  INPUT_RULES, at the top, is the one place a
+keyword's valid values are written: every mechanism checks its keywords
+against it on entry (check_inputs), and the CLI checks each sweep cell's
+keywords against it before any trial runs.  MECHANISMS, at the bottom, is
+the one place a mechanism's name maps to the keywords its ledger records
+(which replay and the CLI pass back in) and, for the samplers, to the score
+whose exact grid law the audits check (mechanism_grid_law).  A score is one
+batch function of the points (an Evaluator) whose rows keep their bits in a
+batch of any size (tested); the sampler's walk scores a single point as a
+batch of one.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
@@ -57,6 +62,67 @@ K_REG = 0.125
 RngLike = Union[int, np.random.Generator]
 
 
+def _real(test: Callable[[float], bool]) -> Callable[[object], bool]:
+    """test, on a real number that is not a bool (NumPy scalars are real)."""
+    return lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and test(v)
+
+
+_POSITIVE = ("positive and finite", _real(lambda v: 0 < v < math.inf))
+_NONNEGATIVE = ("finite and nonnegative", _real(lambda v: 0 <= v < math.inf))
+_COUNT = ("an integer >= 1", _real(lambda v: 1 <= v < math.inf and v == int(v)))
+_BOOL = ("a bool", lambda v: isinstance(v, (bool, np.bool_)))
+
+#: descent schedule overrides (dp_second_order_gd's overrides, warm_start's
+#: stage_b_overrides): T, eta, alpha and sigma replace their schedules,
+#: gap_upper_bound the gap the T and alpha schedules assume, and unsafe
+#: allows a sigma below its schedule
+_OVERRIDE_RULES = {
+    "T": _COUNT,
+    "eta": _POSITIVE,
+    "alpha": _POSITIVE,
+    "sigma": _NONNEGATIVE,
+    "gap_upper_bound": _NONNEGATIVE,
+    "unsafe": _BOOL,
+}
+
+#: What each mechanism keyword must be, as (rule, test); a nested table
+#: lists the keys a dict-valued keyword may hold.  x0 has no rule here: its
+#: shape is the problem's, checked by dp_second_order_gd.
+INPUT_RULES = {
+    "eps": _POSITIVE,
+    "delta": ("in (0, 1)", _real(lambda v: 0 < v < 1)),
+    # +inf leaves the score tolerance at its cap
+    "xi": ("positive", _real(lambda v: v > 0)),
+    # 0 gives the constant score
+    "k_reg": _NONNEGATIVE,
+    "mode": ("'erm' or 'population'",
+             lambda v: isinstance(v, str) and v in ("erm", "population")),
+    "force_walk": _BOOL,
+    "overrides": _OVERRIDE_RULES,
+    "stage_b_overrides": _OVERRIDE_RULES,
+}
+
+
+def check_inputs(values: dict, rules: dict = INPUT_RULES, within: str = "") -> None:
+    """ConfigurationError naming the first value its rule refuses.
+
+    The message reads "{key} must be {rule}, got {value!r}", or
+    "{within}['{key}'] must be ..." for a key of a nested table.  A nested
+    keyword takes None or a dict of its table's keys.
+    """
+    for key, value in values.items():
+        name = f"{within}[{key!r}]" if within else key
+        entry = rules.get(key)
+        if entry is None:
+            raise ConfigurationError(f"unknown key {name}; have {sorted(rules)}")
+        if isinstance(entry, dict):
+            if value is not None and not isinstance(value, dict):
+                raise ConfigurationError(f"{name} must be a dict, got {value!r}")
+            check_inputs(value or {}, entry, name)
+        elif not entry[1](value):
+            raise ConfigurationError(f"{name} must be {entry[0]}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PrivacyBudget:
     """An (epsilon, delta) differential-privacy budget."""
@@ -65,10 +131,11 @@ class PrivacyBudget:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if not (0.0 <= self.delta < 1.0):
-            raise ConfigurationError(f"delta must lie in [0, 1), got {self.delta}")
+        rule, test = INPUT_RULES["eps"]
+        if not test(self.epsilon):
+            raise ConfigurationError(f"budget epsilon must be {rule}, got {self.epsilon!r}")
+        if not _real(lambda v: 0 <= v < 1)(self.delta):
+            raise ConfigurationError(f"budget delta must be in [0, 1), got {self.delta!r}")
 
     def as_dict(self) -> dict:
         return {"epsilon": float(self.epsilon), "delta": float(self.delta)}
@@ -131,22 +198,6 @@ def _phi_evaluator(
     return Evaluator(evaluate_many, zeta_bound=zeta, alpha_lip=L_lip2 * math.sqrt(p.d_x))
 
 
-def _check_inputs(eps: float, xi: Optional[float] = None,
-                  k_reg: Optional[float] = None) -> None:
-    """Typed errors for the numeric inputs the mechanisms share.
-
-    eps must be positive and finite; xi positive (+inf leaves the score
-    tolerance at its cap); k_reg finite and nonnegative (0 gives the
-    constant score).
-    """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ConfigurationError(f"eps must be positive and finite, got {eps!r}")
-    if xi is not None and not xi > 0:
-        raise ConfigurationError(f"xi must be positive, got {xi!r}")
-    if k_reg is not None and not (k_reg >= 0 and math.isfinite(k_reg)):
-        raise ConfigurationError(f"k_reg must be finite and nonnegative, got {k_reg!r}")
-
-
 def _alpha_fallback(a: AssumptionConstants) -> float:
     """Inner tolerance when the schedule's own formula is vacuous (C = 0)."""
     return 1e-8 * max(1.0, a.D_y)
@@ -157,7 +208,6 @@ def _exp_score(p, Z, a, eps: float, xi: float, kind: str) -> tuple[dict, Evaluat
 
     Shared by a mechanism run and its exact-law audit.
     """
-    _check_inputs(eps, xi)
     der = derive_constants(a, Z.n)
     eps_prime = eps / 2.0
     # zeta and xi both default to eps'/6 (the accounting that closes the
@@ -191,11 +241,6 @@ def _exp_score(p, Z, a, eps: float, xi: float, kind: str) -> tuple[dict, Evaluat
 
 def _regularized_score(p, Z, a, eps, delta, mode, xi, k_reg) -> tuple[dict, Evaluator]:
     """Ledger parameters and the score k * (Phi_hat(x) + mu_reg/2 * ||x||^2)."""
-    _check_inputs(eps, xi, k_reg)
-    if delta is None or not (0.0 < delta < 1.0):
-        raise ConfigurationError("delta must lie in (0, 1)")
-    if mode not in ("erm", "population"):
-        raise ConfigurationError(f"mode must be 'erm' or 'population', got {mode!r}")
     if a.D_x <= 0:
         raise ConfigurationError("regularized mechanism needs D_x > 0")
     n = Z.n
@@ -229,6 +274,7 @@ def _regularized_score(p, Z, a, eps, delta, mode, xi, k_reg) -> tuple[dict, Eval
 
 def _sampler_release(p, Z, a, name, rng, force_walk, engine, **inputs) -> MechanismResult:
     """Build the named sampler's score, draw one point, and ledger the draw."""
+    check_inputs(dict(inputs, force_walk=force_walk))
     seed, gen = seed_and_generator(rng)
     params, evaluator = MECHANISMS[name].score(p, Z, a, **inputs)
     detail = sample_logconcave_detailed(
@@ -335,8 +381,9 @@ def mechanism_grid_law(
     if spec is None or spec.score is None:
         raise ConfigurationError(f"no enumerable law for mechanism {mechanism!r}")
     given = {"eps": eps, "xi": xi, "delta": delta, "mode": mode, "k_reg": k_reg}
-    params, evaluator = spec.score(
-        p, Z, a, **{k: v for k, v in given.items() if k in spec.params})
+    inputs = {k: v for k, v in given.items() if k in spec.params}
+    check_inputs(inputs)
+    params, evaluator = spec.score(p, Z, a, **inputs)
     return grid_law(ExtendedEvaluator(evaluator, p.domain_x, params["L_lip2"]), grid)
 
 
@@ -344,29 +391,11 @@ def mechanism_grid_law(
 # Gradient-descent mechanism and the warm-start meta-algorithm
 # ---------------------------------------------------------------------------
 
-_GD_OVERRIDE_KEYS = {"T", "eta", "alpha", "sigma", "gap_upper_bound", "unsafe"}
-
-
 def _descent_overrides(overrides: Optional[dict]) -> dict:
-    """Checked descent overrides as the ledger records them.
-
-    'unsafe' must be a bool and 'T' an integral number (not a bool); every
-    other value a finite number.
-    """
-    ov = dict(overrides or {})
-    unknown = set(ov) - _GD_OVERRIDE_KEYS
-    if unknown:
-        raise ConfigurationError(f"unknown override keys: {sorted(unknown)}")
-    for k, v in ov.items():
-        if k == "unsafe":
-            if not isinstance(v, bool):
-                raise ConfigurationError(f"override 'unsafe' must be a bool, got {v!r}")
-        elif not math.isfinite(float(v)):
-            raise ConfigurationError(f"override {k!r} must be finite, got {v!r}")
-        elif k == "T" and (isinstance(v, bool) or not float(v).is_integer()):
-            raise ConfigurationError(f"override 'T' must be an integer, got {v!r}")
-    return {k: (v if k == "unsafe" else int(v) if k == "T" else float(v))
-            for k, v in ov.items()}
+    """Overrides, as check_inputs accepts them, in the types the ledger
+    records: T an int, unsafe a bool, the rest floats."""
+    return {k: (bool(v) if k == "unsafe" else int(v) if k == "T" else float(v))
+            for k, v in (overrides or {}).items()}
 
 
 def _gd_schedule(p, Z, a, eps, delta, overrides: dict) -> dict:
@@ -375,13 +404,9 @@ def _gd_schedule(p, Z, a, eps, delta, overrides: dict) -> dict:
     der = derive_constants(a, n)
     ln1d = math.log(1.0 / delta)
     gap = float(overrides.get("gap_upper_bound", der.L_bar * a.D_x))
-    if gap < 0:
-        raise ConfigurationError("gap_upper_bound must be nonnegative")
 
     if "T" in overrides:
-        T = int(overrides["T"])
-        if T < 1:
-            raise ConfigurationError("T override must be >= 1")
+        T = overrides["T"]
     else:
         if der.K == 0.0:
             raise ConfigurationError(
@@ -394,9 +419,7 @@ def _gd_schedule(p, Z, a, eps, delta, overrides: dict) -> dict:
 
     sigma_schedule = 32.0 * der.K * math.sqrt(T * ln1d) / (n * eps)
     sigma = float(overrides.get("sigma", sigma_schedule))
-    if sigma < 0:
-        raise ConfigurationError("sigma must be nonnegative")
-    unsafe = bool(overrides.get("unsafe", False))
+    unsafe = overrides.get("unsafe", False)
     certified = sigma >= sigma_schedule * (1.0 - 1e-12)
     if not certified and not unsafe:
         raise ConfigurationError(
@@ -406,9 +429,7 @@ def _gd_schedule(p, Z, a, eps, delta, overrides: dict) -> dict:
         )
 
     if "eta" in overrides:
-        eta = float(overrides["eta"])
-        if eta <= 0:
-            raise ConfigurationError("eta must be positive")
+        eta = overrides["eta"]
     elif der.beta_phi > 0:
         eta = 1.0 / (2.0 * der.beta_phi)
     else:
@@ -417,9 +438,7 @@ def _gd_schedule(p, Z, a, eps, delta, overrides: dict) -> dict:
         )
 
     if "alpha" in overrides:
-        alpha = float(overrides["alpha"])
-        if alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
+        alpha = overrides["alpha"]
     elif der.C > 0:
         alpha = min(
             der.K / (n * der.C),
@@ -466,9 +485,7 @@ def dp_second_order_gd(
     overriding sigma below it requires overrides['unsafe'] = True and marks
     the ledger uncertified.
     """
-    _check_inputs(eps)
-    if not (0.0 < delta < 1.0):
-        raise ConfigurationError("delta must lie in (0, 1)")
+    check_inputs({"eps": eps, "delta": delta, "overrides": overrides})
     ov = _descent_overrides(overrides)
     x0 = np.asarray(p.domain_x.center if x0 is None else x0, dtype=float)
     if x0.shape != (p.d_x,) or not np.isfinite(x0).all():
@@ -538,11 +555,8 @@ def warm_start(
     guarantees in expectation-scale — substituted into the T and alpha
     schedules.  Total spent: (eps, delta/2).
     """
-    _check_inputs(eps, xi)
-    if not (0.0 < delta < 1.0):
-        raise ConfigurationError(
-            "delta must lie in (0, 1): the descent stage requires delta > 0"
-        )
+    check_inputs({"eps": eps, "delta": delta, "xi": xi,
+                  "stage_b_overrides": stage_b_overrides})
     stage_b_ov = _descent_overrides(stage_b_overrides)
     seed, gen = seed_and_generator(rng)
     seed_a = _child_seed(seed, gen, "stage_a")

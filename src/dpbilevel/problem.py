@@ -391,6 +391,21 @@ class ProbeReport:
             )
 
 
+#: difference-quotient probes, in the order they run: (probe name, declared
+#: constant, callback, norm order (None: vector 2-norm, 2: spectral), the
+#: argument that moves)
+_QUOTIENTS = (
+    ("beta_fxx", "beta_fxx", "grad_f_x", None, "x"),
+    ("beta_fxy", "beta_fxy", "grad_f_y", None, "x"),
+    ("M_gxy", "M_gxy", "hess_g_xy", 2, "x"),
+    ("M_gyy", "M_gyy", "hess_g_yy", 2, "x"),
+    ("beta_fyy", "beta_fyy", "grad_f_y", None, "y"),
+    ("beta_fxy_yside", "beta_fxy", "grad_f_x", None, "y"),
+    ("C_gxy", "C_gxy", "hess_g_xy", 2, "y"),
+    ("C_gyy", "C_gyy", "hess_g_yy", 2, "y"),
+)
+
+
 def probe_assumptions(
     p: BilevelProblem,
     a: AssumptionConstants,
@@ -443,42 +458,16 @@ def probe_assumptions(
         # strong convexity: mu_g - lam_min must not exceed the slack
         report._record("mu_g", max(0.0, a.mu_g - lam_min), 0.0, witness)
 
-        dx = float(np.linalg.norm(x - x2))
-        dy = float(np.linalg.norm(y - y2))
-        if dx > 1e-12:
-            report._record(
-                "beta_fxx",
-                float(np.linalg.norm(p.grad_f_x(x, y, z) - p.grad_f_x(x2, y, z))) / dx,
-                a.beta_fxx, witness)
-            report._record(
-                "beta_fxy",
-                float(np.linalg.norm(p.grad_f_y(x, y, z) - p.grad_f_y(x2, y, z))) / dx,
-                a.beta_fxy, witness)
-            report._record(
-                "M_gxy",
-                float(np.linalg.norm(p.hess_g_xy(x, y, z) - p.hess_g_xy(x2, y, z), 2)) / dx,
-                a.M_gxy, witness)
-            report._record(
-                "M_gyy",
-                float(np.linalg.norm(p.hess_g_yy(x, y, z) - p.hess_g_yy(x2, y, z), 2)) / dx,
-                a.M_gyy, witness)
-        if dy > 1e-12:
-            report._record(
-                "beta_fyy",
-                float(np.linalg.norm(p.grad_f_y(x, y, z) - p.grad_f_y(x, y2, z))) / dy,
-                a.beta_fyy, witness)
-            report._record(
-                "beta_fxy_yside",
-                float(np.linalg.norm(p.grad_f_x(x, y, z) - p.grad_f_x(x, y2, z))) / dy,
-                a.beta_fxy, witness)
-            report._record(
-                "C_gxy",
-                float(np.linalg.norm(p.hess_g_xy(x, y, z) - p.hess_g_xy(x, y2, z), 2)) / dy,
-                a.C_gxy, witness)
-            report._record(
-                "C_gyy",
-                float(np.linalg.norm(p.hess_g_yy(x, y, z) - p.hess_g_yy(x, y2, z), 2)) / dy,
-                a.C_gyy, witness)
+        # difference quotients: each callback's change over |x - x2| with y
+        # fixed, or over |y - y2| with x fixed
+        moved = {"x": (x2, y, float(np.linalg.norm(x - x2))),
+                 "y": (x, y2, float(np.linalg.norm(y - y2)))}
+        for name, constant, callback, order, side in _QUOTIENTS:
+            x_to, y_to, dist = moved[side]
+            if dist > 1e-12:
+                fn = getattr(p, callback)
+                change = np.linalg.norm(fn(x, y, z) - fn(x_to, y_to, z), order)
+                report._record(name, float(change) / dist, getattr(a, constant), witness)
     if trials:
         _probe_batch_consistency(p, dataset, np.array(xs), np.array(ys), report)
     return report

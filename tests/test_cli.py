@@ -1,5 +1,6 @@
 """Config validation, experiment runs, audits, and exit codes."""
 
+import csv
 import json
 import pickle
 
@@ -167,19 +168,21 @@ def test_parallel_run_uses_the_pool(tmp_path, monkeypatch):
 
 
 def test_failing_trials_are_rows_not_crashes(tmp_path):
-    # the regularized mechanism demands delta > 0: every trial fails, and
-    # the failure lands in the error column
+    # a config that loads but whose release only a trial can refuse: at
+    # n = 1024 the regularized sampler's grids exceed their size caps (the
+    # README's SizeCapError example), and the failure lands in the error
+    # column
     raw = config_dict(
         tmp_path,
-        mechanism={"name": "regularized_exp_mechanism", "params": {"mode": "median"}},
-        budget={"epsilon": 1.0, "delta": 1e-3},
-        sweep={"n": [8]}, trials_per_cell=1)
+        instance={"name": "quadratic", "params": {"d_x": 2}},
+        mechanism={"name": "regularized_exp_mechanism"},
+        budget={"epsilon": 1.0, "delta": 1e-5},
+        sweep={"n": [1024]}, trials_per_cell=1)
     outcome = run_experiment(ExperimentConfig.from_dict(raw))
     assert outcome["errors"] == 1
-    lines = (tmp_path / "results.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    row = dict(zip(header, lines[1].split(",")))
-    assert "mode must be" in row["error"]
+    with open(tmp_path / "results.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["error"].startswith("SizeCapError: no feasible grid")
     assert row["excess_risk"] == ""
 
 
@@ -357,10 +360,24 @@ def test_main_non_finite_budget_is_config_error(tmp_path, capsys):
     {"instance": {"name": "hard", "params": {"dd": 1}}},
     {"instance": {"name": "hard", "params": {"d": 1, "n": 8}}},
     {"instance": {"name": "lasso", "params": {}}},
+    {"mechanism": {"name": "exponential_mechanism", "params": {"xi": -1}}},
+    {"mechanism": {"name": "regularized_exp_mechanism", "params": {"k_reg": -1}},
+     "budget": {"epsilon": 1.0, "delta": 1e-3}},
+    {"mechanism": {"name": "regularized_exp_mechanism", "params": {"mode": "median"}},
+     "budget": {"epsilon": 1.0, "delta": 1e-3}},
+    {"mechanism": {"name": "exponential_mechanism", "params": {"force_walk": "no"}}},
+    {"mechanism": {"name": "dp_second_order_gd", "params": {"overrides": {"T": 0}}},
+     "budget": {"epsilon": 1.0, "delta": 1e-3}},
+    {"mechanism": {"name": "dp_second_order_gd", "params": {"overrides": {"eta": -1}}},
+     "budget": {"epsilon": 1.0, "delta": 1e-3}},
+    {"mechanism": {"name": "warm_start", "params": {"stage_b_overrides": {"unsafe": "yes"}}},
+     "budget": {"epsilon": 1.0, "delta": 1e-3}},
 ], ids=["nan_epsilon", "negative_sweep_epsilon", "delta_above_one", "descent_without_delta",
         "zero_sweep_delta", "zero_n", "fractional_d", "fractional_trials", "bool_trials",
         "fractional_seed", "string_seed", "unknown_instance_param", "n_as_instance_param",
-        "unknown_instance"])
+        "unknown_instance", "negative_xi", "negative_k_reg", "unknown_mode",
+        "string_force_walk", "zero_T_override", "negative_eta_override",
+        "string_unsafe_override"])
 def test_main_bad_config_value_exits_1_before_any_trial(tmp_path, mutate):
     raw = config_dict(tmp_path / "out", **mutate)
     assert main(["run", write_config(tmp_path, raw)]) == 1

@@ -1,5 +1,6 @@
 """Budget accounting, schedules, and replay for the private mechanisms."""
 
+import inspect
 import json
 import math
 import warnings
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from dpbilevel import mechanisms
-from dpbilevel.errors import ConfigurationError
+from dpbilevel.errors import ConfigurationError, SizeCapError
 from dpbilevel.gridwalk import engine as engine_module
 from dpbilevel.gridwalk import evaluator as evaluator_module
 from dpbilevel.gridwalk import sampler as sampler_module
@@ -16,6 +17,7 @@ from dpbilevel.gridwalk.evaluator import ExtendedEvaluator
 from dpbilevel.gridwalk.grid import grid_with_cells
 from dpbilevel.instances import make_instance
 from dpbilevel.mechanisms import (
+    INPUT_RULES,
     K_REG,
     MECHANISMS,
     PrivacyBudget,
@@ -446,6 +448,12 @@ BAD_INPUTS = [
     ("warm_start", {"xi": math.nan}, "xi"),
     ("dp_second_order_gd", {"eps": math.inf}, "eps"),
     ("dp_second_order_gd", {"eps": math.nan}, "eps"),
+    ("dp_second_order_gd", {"delta": 1.0}, "delta"),
+    ("exponential_mechanism", {"eps": True}, "eps"),
+    ("exponential_mechanism", {"force_walk": "no"}, "force_walk"),
+    ("regularized_exp_mechanism", {"delta": 0.0}, "delta"),
+    ("regularized_exp_mechanism", {"mode": "median"}, "mode"),
+    ("warm_start", {"delta": 0.0}, "delta"),
 ]
 
 
@@ -458,6 +466,39 @@ def test_bad_mechanism_inputs_are_configuration_errors(quad, name, bad, key):
     with pytest.raises(ConfigurationError, match=f"^{key} must"):
         getattr(mechanisms, name)(fx.problem, Z, fx.constants, rng=0,
                                   **{**kwargs, **bad})
+
+
+def test_every_mechanism_keyword_has_an_input_rule():
+    # a new keyword cannot skip the table: the ledger records exactly the
+    # function's keywords, and each of them but x0 has a rule
+    for name, spec in MECHANISMS.items():
+        signature = inspect.signature(getattr(mechanisms, name))
+        keywords = tuple(k for k in signature.parameters
+                         if k not in ("p", "Z", "a", "rng", "engine"))
+        assert keywords == spec.params, name
+        assert set(keywords) - {"x0"} <= set(INPUT_RULES), name
+
+
+def test_numpy_scalar_inputs_are_accepted(quad):
+    fx, Z = quad
+    res = exponential_mechanism(fx.problem, Z, fx.constants, np.float64(1.2),
+                                np.float64(1.0), rng=0, force_walk=np.bool_(False))
+    ref = exponential_mechanism(fx.problem, Z, fx.constants, 1.2, 1.0, rng=0)
+    assert json.dumps(res.ledger) == json.dumps(ref.ledger)
+    gd = dp_second_order_gd(fx.problem, Z, fx.constants, np.float64(1.0), np.float64(1e-3),
+                            overrides={"T": np.int64(2), "unsafe": np.bool_(False)}, rng=0)
+    assert gd.ledger["overrides"] == {"T": 2, "unsafe": False}
+    assert json.dumps(gd.ledger["overrides"]) == '{"T": 2, "unsafe": false}'
+
+
+def test_walk_budget_past_float_range_is_a_size_cap_error():
+    # zeta = eps/12 puts e^{12 zeta} in the forced walk's step budget past
+    # float range: a typed size-cap error, not an OverflowError
+    fx = make_instance("hard", d=1)
+    Z = fx.sample_dataset(8, seed=0)
+    with pytest.raises(SizeCapError, match=r"\(d=1, alpha\*tau=706, zeta=167\)"):
+        exponential_mechanism(fx.problem, Z, fx.constants, eps=2000, xi=2000, rng=0,
+                              force_walk=True)
 
 
 def test_infinite_xi_takes_the_tolerance_cap(quad):
