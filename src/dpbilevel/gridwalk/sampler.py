@@ -1,18 +1,19 @@
 """Sampling from exp(-f) over a convex body, given only inexact scores.
 
 The score f is known on the body through an Evaluator whose values may be
-off by zeta pointwise.  sample_logconcave_detailed extends f to the body's
-enclosing cube (ExtendedEvaluator; f' below is the extension as the oracle
-scores it, a fixed function whose table rows have the bits of its point
-scores).  Each attempt draws a cell c of a cube grid, a point theta uniform
-on c, keeps theta with probability exp(min(0, f'(c) - f'(theta) - 1)),
-f'(c) being the score of c's center, and then only if theta lies in the
-body.  A rejection discards the whole attempt, up to RESTART_CAP attempts.
-plan_sampler picks how c is drawn, once:
+off by zeta <= NO_CLIP_ZETA pointwise.  sample_logconcave_detailed extends
+f to the body's enclosing cube (ExtendedEvaluator; f' below is the
+extension as the oracle scores it, a fixed function whose table rows have
+the bits of its point scores).  Each attempt draws a cell c of a cube grid,
+a point theta uniform on c, keeps theta with probability
+exp(min(0, f'(c) - f'(theta) - 1)), f'(c) being the score of c's center,
+and then only if theta lies in the body.  A rejection discards the whole
+attempt, up to RESTART_CAP attempts.  plan_sampler picks how c is drawn,
+once:
 
 * enumerate -- every cell is scored once and c comes from the exact Gibbs
-  law over centers, on the coarse grid of ceil(2 alpha tau) cells per axis,
-  or on one cell in some cases where that grid has two (see plan_sampler).
+  law over centers, on the coarse grid: one cell where alpha*tau < 1, and
+  ceil(2 alpha tau) cells per axis otherwise.
 * walk -- c is where the lazy Metropolis chain on the accuracy grid
   (build_grid) stands after its closed-form step budget.  The first touch
   of a cell scores the unscored cells of its fill window (see
@@ -28,12 +29,11 @@ in-body draw has law exactly exp(-f') on the body, within 2*zeta of
 exp(-f) in sup-log-ratio (rejection from a piecewise-constant envelope,
 Devroye 1986, II.3).  The clip bound: an alpha-Lipschitz f (infinity norm)
 moves by at most alpha*gamma/2 between a center and its cell, so
-f'(c) - f'(theta) - 1 <= alpha*gamma/2 + 2*zeta - 1.  Where that is positive
-the accepted density's log-ratio to exp(-f') moves by at most that much.
-The coarse grid has alpha*gamma/2 <= 1/4, so it never clips for
-zeta <= NO_CLIP_ZETA = 3/8; one cell (gamma = tau) never clips for
-alpha*tau/2 + 2*zeta <= 1.  A grid's fineness serves only the walk's
-mixing, and the finer accuracy grid shrinks the clip at larger zeta.
+f'(c) - f'(theta) - 1 <= alpha*gamma/2 + 2*zeta - 1.  The coarse and
+accuracy grids have alpha*gamma/2 <= 1/4 and one cell at alpha*tau < 1 has
+alpha*gamma/2 < 1/2, so at zeta <= NO_CLIP_ZETA = 1/4 no plan clips and
+every enumerated draw is exact.  The accuracy grid's fineness serves only
+the walk's mixing.
 """
 
 from __future__ import annotations
@@ -52,13 +52,16 @@ from .engine import run_walk
 from .evaluator import Evaluator, ExtendedEvaluator
 from .grid import WALK_STATE_CAP, GridSpec, build_grid, grid_with_cells
 
-#: states up to which a grid is enumerated without consulting the walk
-#: budget; larger accuracy grids are enumerated too when the walk would
-#: take at least as many steps
+#: states up to which the coarse grid is enumerated whatever the walk budget
 ENUM_STATE_CAP = 2**14
-#: zeta up to which the coarse grid's acceptance step never clips:
-#: alpha*gamma/2 + 2*zeta - 1 <= 1/4 + 3/4 - 1
-NO_CLIP_ZETA = 3.0 / 8.0
+#: the largest zeta plan_sampler takes: alpha*gamma/2 + 2*zeta - 1 is then
+#: at most 1/4 + 1/2 - 1 on every grid with alpha*gamma <= 1/2, and below
+#: 1/2 + 1/2 - 1 on one cell at alpha*tau < 1, so no plan clips
+NO_CLIP_ZETA = 1.0 / 4.0
+#: the largest walk step budget plan_sampler takes: 7-12 h of the compiled
+#: walk engine at the 2.5-4.1e7 steps/s it runs perfbench's release-walk
+#: (2-core x86-64)
+WALK_STEP_CAP = 2**40
 #: attempts (cell draws, or full walks) before the sampler gives up
 RESTART_CAP = 64
 
@@ -108,32 +111,28 @@ def plan_sampler(
 ) -> SamplerPlan:
     """Choose a strategy for accuracy budget xi under evaluation error zeta.
 
-    Unforced, the coarse grid of m = ceil(2 alpha tau) cells per axis
-    (gamma <= 1/(2 alpha)) is enumerated when it has at most ENUM_STATE_CAP
-    states and one of these holds:
+    zeta must be at most NO_CLIP_ZETA, so that no plan clips (see the module
+    docstring) and no grid's size depends on zeta.  The coarse grid has one
+    cell where alpha*tau < 1 and m = ceil(2 alpha tau) cells per axis
+    (gamma <= 1/(2 alpha)) otherwise.  In order:
 
-    * zeta <= NO_CLIP_ZETA, so the acceptance step never clips and the law
-      is exact (see the module docstring);
-    * m <= 2, where the whole cube is at most two cells wide;
-    * the accuracy grid exceeds WALK_STATE_CAP, so it has no other answer.
+    1. unforced, the coarse grid is enumerated when it has at most
+       ENUM_STATE_CAP states;
+    2. otherwise the accuracy grid is built (build_grid at xi/2, the other
+       half of xi going to walk mixing), a SizeCapError above
+       WALK_STATE_CAP states;
+    3. it is walked for mixing_time_bound's budget when that budget is
+       below its state count, or always under force_walk;
+    4. otherwise the coarse grid, never larger than the accuracy grid, is
+       enumerated.
 
-    Where alpha*tau < 1 (m <= 2) the grid is one cell instead when that
-    cell does not clip (alpha*tau/2 + 2*zeta <= 1) or when 2**d exceeds
-    ENUM_STATE_CAP; the latter clips by at most alpha*tau/2 + 2*zeta - 1,
-    as a uniform proposal on the cube against its center does.  So the
-    two-cell grid, with its 2**d scores, runs only where it buys a smaller
-    clip.
-
-    Otherwise the accuracy grid (build_grid at xi/2, the other half of xi
-    going to walk mixing) is enumerated when it has at most
-    max(ENUM_STATE_CAP, walk steps) states, walk steps being
-    mixing_time_bound's budget, and walked otherwise.  force_walk always
-    walks the accuracy grid.  A flat score (alpha = 0) takes one cell.
+    A walk budget above WALK_STEP_CAP (or past float range) is a
+    SizeCapError.  A flat score (alpha = 0) takes one cell.
     """
     if xi <= 0:
         raise ConfigurationError("xi must be positive")
-    if zeta < 0:
-        raise ConfigurationError("zeta must be nonnegative")
+    if not 0.0 <= zeta <= NO_CLIP_ZETA:
+        raise ConfigurationError(f"zeta must be in [0, {NO_CLIP_ZETA}], got {zeta!r}")
     tau = domain.inf_width
     d = domain.dim
 
@@ -141,45 +140,29 @@ def plan_sampler(
         # flat score: one cell is a faithful grid (unforced, it is the coarse one)
         return SamplerPlan("walk", grid_with_cells(domain, 1), 1, alpha_lip, tau, xi, zeta)
 
-    m = max(1, int(math.ceil(2.0 * alpha_lip * tau)))
-    if alpha_lip * tau < 1.0 and (alpha_lip * tau / 2.0 + 2.0 * zeta <= 1.0
-                                  or 2**d > ENUM_STATE_CAP):
-        m = 1
-    coarse = None
-    if not force_walk and m**d <= ENUM_STATE_CAP:
-        coarse = SamplerPlan("enumerate", grid_with_cells(domain, m),
-                             0, alpha_lip, tau, xi, zeta)
-        if zeta <= NO_CLIP_ZETA or m <= 2:
-            return coarse
-
-    acc = xi / 2.0
-    try:
-        grid = build_grid(domain, alpha_lip, acc)
-    except SizeCapError:
-        if coarse is not None:
-            return coarse
-        why = "force_walk bars the coarse grid" if force_walk else \
-            f"the coarse grid exceeds {ENUM_STATE_CAP}"
-        raise SizeCapError(
-            f"no feasible grid: accuracy grid exceeds {WALK_STATE_CAP} states "
-            f"and {why} (d={d}, alpha*tau={alpha_lip * tau:.3g})"
-        ) from None
-    # a walk of at least state_count steps is more work than scoring every
-    # state once, and its law is only approximate: walk only when its
-    # budget is below the state count.  Grids within ENUM_STATE_CAP skip
-    # the budget; one past float range (e^{12 zeta} at a large zeta) is a
-    # SizeCapError.
-    if force_walk or grid.state_count > ENUM_STATE_CAP:
+    m = 1 if alpha_lip * tau < 1.0 else math.ceil(2.0 * alpha_lip * tau)
+    if force_walk or m**d > ENUM_STATE_CAP:
+        acc = xi / 2.0
+        try:
+            grid = build_grid(domain, alpha_lip, acc)
+        except SizeCapError:
+            raise SizeCapError(
+                f"no feasible grid: accuracy grid exceeds {WALK_STATE_CAP} states and "
+                f"the coarse grid exceeds {ENUM_STATE_CAP} or force_walk bars it "
+                f"(d={d}, alpha*tau={alpha_lip * tau:.3g})"
+            ) from None
         try:
             steps = mixing_time_bound(alpha_lip, tau, d, acc, zeta)
-        except OverflowError:
-            raise SizeCapError(
-                f"walk step budget exceeds float range "
-                f"(d={d}, alpha*tau={alpha_lip * tau:.3g}, zeta={zeta:.3g})"
-            ) from None
+        except OverflowError:  # the e^{xi/2} factor
+            steps = math.inf
+        # a walk of at least state_count steps is more work than scoring
+        # every state once, and its law is only approximate
         if force_walk or steps < grid.state_count:
+            if steps > WALK_STEP_CAP:
+                raise SizeCapError(f"walk step budget {steps:.3g} exceeds {WALK_STEP_CAP} steps "
+                                   f"(d={d}, alpha*tau={alpha_lip * tau:.3g}, zeta={zeta:.3g})")
             return SamplerPlan("walk", grid, steps, alpha_lip, tau, xi, zeta)
-    return SamplerPlan("enumerate", grid, 0, alpha_lip, tau, xi, zeta)
+    return SamplerPlan("enumerate", grid_with_cells(domain, m), 0, alpha_lip, tau, xi, zeta)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ seed):
 * exponential_mechanism — samples x with density proportional to
   exp(-(eps'/(2s)) * Phi_hat(x)) over the feasible set, eps' = eps/2,
   with the remaining eps/2 covering the sampler's evaluation error and
-  mixing slack (zeta = xi = eps'/6 each, entering the end-to-end ratio as
-  4*zeta + 2*xi).  Pure eps-DP.
+  mixing slack (xi at most eps'/6, zeta at most eps'/6 and NO_CLIP_ZETA,
+  entering the end-to-end ratio as 4*zeta + 2*xi).  Pure eps-DP.
 * regularized_exp_mechanism — Gibbs law of k * (Phi_hat(x) + mu_reg/2 * |x|^2)
   with mu_reg and k set from (eps, delta, n); (eps, delta)-DP.  The
   proportionality constant inside k is exposed as k_reg and validated by
@@ -50,7 +50,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .gridwalk.evaluator import Evaluator, ExtendedEvaluator
 from .gridwalk.grid import GridSpec
-from .gridwalk.sampler import grid_law, sample_logconcave_detailed, seed_and_generator
+from .gridwalk.sampler import (NO_CLIP_ZETA, grid_law, sample_logconcave_detailed,
+                               seed_and_generator)
 from .hypergrad import approx_hypergradient
 from .inner import phi_solution_pair, solve_lower_level
 from .problem import AssumptionConstants, BilevelProblem, Dataset, _row_norms, derive_constants
@@ -211,29 +212,32 @@ def _exp_score(p, Z, a, eps: float, xi: float, kind: str) -> tuple[dict, Evaluat
     der = derive_constants(a, Z.n)
     eps_prime = eps / 2.0
     # zeta and xi both default to eps'/6 (the accounting that closes the
-    # eps' + 4 zeta + 2 xi <= eps budget); a tighter request only helps.
+    # eps' + 4 zeta + 2 xi <= eps budget); a tighter request only helps,
+    # and zeta never exceeds NO_CLIP_ZETA, where the sampler is exact.
     err = min(float(xi), eps_prime / 6.0)
+    zeta = min(err, NO_CLIP_ZETA)
     sens, slope = (der.s, der.L_bar) if kind == "phi" else (der.G, der.beta_phi)
     coeff = 0.0 if sens == 0.0 else float(eps_prime / (2.0 * sens))
     L2 = float(coeff * slope)
     if coeff == 0.0:
         evaluator = _constant_evaluator()
     elif kind == "phi":
-        evaluator = _phi_evaluator(p, Z, a, coeff, err, L2)
+        evaluator = _phi_evaluator(p, Z, a, coeff, zeta, L2)
     else:
         # coeff * ||hypergradient||, a batch being one lockstep solve from
-        # y_box.center to C * alpha <= the score-scale error budget
-        # zeta / coeff = G/3, and one stacked hypergradient
-        alpha_inner = der.G / (3.0 * der.C) if der.C > 0 else _alpha_fallback(a)
+        # y_box.center to C * alpha <= zeta / coeff, and one stacked
+        # hypergradient: zeta / coeff is G/3 at zeta = eps'/6
+        alpha_inner = (der.G / (3.0 * der.C) * (zeta / (eps_prime / 6.0))
+                       if der.C > 0 else _alpha_fallback(a))
 
         def evaluate_many(X: np.ndarray) -> np.ndarray:
             res = solve_lower_level(p, Z, X, alpha_inner, a)
             return coeff * _row_norms(approx_hypergradient(p, Z, X, res.y))
 
-        evaluator = Evaluator(evaluate_many, zeta_bound=err, alpha_lip=L2 * math.sqrt(p.d_x))
+        evaluator = Evaluator(evaluate_many, zeta_bound=zeta, alpha_lip=L2 * math.sqrt(p.d_x))
     params = {
         "eps": float(eps), "xi": float(xi), "n": Z.n, "eps_prime": eps_prime,
-        "sensitivity": float(sens), "coeff": coeff, "zeta": err,
+        "sensitivity": float(sens), "coeff": coeff, "zeta": zeta,
         "xi_used": err, "L_lip2": L2,
     }
     return params, evaluator
@@ -256,20 +260,21 @@ def _regularized_score(p, Z, a, eps, delta, mode, xi, k_reg) -> tuple[dict, Eval
         k = k_reg * mu_reg * n**2 * eps**2 / (G**2 * ln1d)
     k, mu_reg = float(k), float(mu_reg)
     err = min(float(xi), eps / 24.0)
+    zeta = min(err, NO_CLIP_ZETA)
     L2 = float(k * (der.L_bar + mu_reg * p.domain_x.max_norm()))
     params = {
         "eps": float(eps), "delta": float(delta), "mode": mode, "xi": float(xi),
         "k_reg": float(k_reg), "n": n, "G": float(G), "mu_reg": mu_reg,
-        "k": k, "zeta": err, "xi_used": err, "L_lip2": L2,
+        "k": k, "zeta": zeta, "xi_used": err, "L_lip2": L2,
     }
     if k == 0.0:
         return params, _constant_evaluator()
-    base = _phi_evaluator(p, Z, a, k, err, L2)
+    base = _phi_evaluator(p, Z, a, k, zeta, L2)
 
     def evaluate_many(X: np.ndarray) -> np.ndarray:
         return base.evaluate_many(X) + 0.5 * k * mu_reg * np.einsum("ij,ij->i", X, X)
 
-    return params, Evaluator(evaluate_many, zeta_bound=err, alpha_lip=base.alpha_lip)
+    return params, Evaluator(evaluate_many, zeta_bound=zeta, alpha_lip=base.alpha_lip)
 
 
 def _sampler_release(p, Z, a, name, rng, force_walk, engine, **inputs) -> MechanismResult:
@@ -309,7 +314,7 @@ def exponential_mechanism(
 
     Half the budget drives the density's coefficient; the other half absorbs
     the inexact lower-level solves (evaluation error zeta) and the sampler's
-    accuracy slack (xi), both set to eps/12.
+    accuracy slack (xi), both at most eps/12 and zeta at most NO_CLIP_ZETA.
     """
     return _sampler_release(p, Z, a, "exponential_mechanism", rng, force_walk,
                             engine, eps=eps, xi=xi)

@@ -334,3 +334,43 @@ def reference_plan(domain, alpha_lip, xi, zeta, force_walk=False) -> SamplerPlan
             coarse = grid_with_cells(domain, m_min)
             return SamplerPlan("enumerate", coarse, 0, alpha_lip, tau, xi, zeta)
     raise SizeCapError("no feasible grid")
+
+
+def any_zeta_plan(domain, alpha_lip, xi, zeta, force_walk=False) -> SamplerPlan:
+    """plan_sampler as it planned while it took any zeta.
+
+    One cell at alpha * tau < 1 where that cell does not clip or 2^d exceeds
+    ENUM_STATE_CAP, else the coarse grid within ENUM_STATE_CAP at
+    zeta <= 3/8 or two cells per axis; otherwise the accuracy grid,
+    enumerated unless its walk budget is below its state count, with the
+    coarse grid as the fallback past WALK_STATE_CAP.  No step cap.  A
+    planning reference only.
+    """
+    tau = domain.inf_width
+    d = domain.dim
+    if alpha_lip <= 0.0 and force_walk:
+        return SamplerPlan("walk", grid_with_cells(domain, 1), 1, alpha_lip, tau, xi, zeta)
+    m = max(1, int(math.ceil(2.0 * alpha_lip * tau)))
+    if alpha_lip * tau < 1.0 and (alpha_lip * tau / 2.0 + 2.0 * zeta <= 1.0
+                                  or 2**d > ENUM_STATE_CAP):
+        m = 1
+    coarse = None
+    if not force_walk and m**d <= ENUM_STATE_CAP:
+        coarse = SamplerPlan("enumerate", grid_with_cells(domain, m), 0, alpha_lip, tau, xi, zeta)
+        if zeta <= 3.0 / 8.0 or m <= 2:
+            return coarse
+    acc = xi / 2.0
+    try:
+        grid = build_grid(domain, alpha_lip, acc)
+    except SizeCapError:
+        if coarse is not None:
+            return coarse
+        raise
+    if force_walk or grid.state_count > ENUM_STATE_CAP:
+        try:
+            steps = chain.mixing_time_bound(alpha_lip, tau, d, acc, zeta)
+        except OverflowError:
+            raise SizeCapError("walk step budget exceeds float range") from None
+        if force_walk or steps < grid.state_count:
+            return SamplerPlan("walk", grid, steps, alpha_lip, tau, xi, zeta)
+    return SamplerPlan("enumerate", grid, 0, alpha_lip, tau, xi, zeta)

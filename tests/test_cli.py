@@ -182,7 +182,9 @@ def test_failing_trials_are_rows_not_crashes(tmp_path):
     assert outcome["errors"] == 1
     with open(tmp_path / "results.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
-    assert row["error"].startswith("SizeCapError: no feasible grid")
+    assert row["error"] == (
+        "SizeCapError: no feasible grid: accuracy grid exceeds 4194304 states and "
+        "the coarse grid exceeds 16384 or force_walk bars it (d=2, alpha*tau=454)")
     assert row["excess_risk"] == ""
 
 

@@ -3,6 +3,8 @@
 import inspect
 import json
 import math
+import re
+import time
 import warnings
 
 import numpy as np
@@ -15,6 +17,7 @@ from dpbilevel.gridwalk import evaluator as evaluator_module
 from dpbilevel.gridwalk import sampler as sampler_module
 from dpbilevel.gridwalk.evaluator import ExtendedEvaluator
 from dpbilevel.gridwalk.grid import grid_with_cells
+from dpbilevel.gridwalk.sampler import ENUM_STATE_CAP, NO_CLIP_ZETA, WALK_STEP_CAP
 from dpbilevel.instances import make_instance
 from dpbilevel.mechanisms import (
     INPUT_RULES,
@@ -88,6 +91,39 @@ def test_grad_norm_variant_scores_differently(quad):
     # gradient-magnitude constant
     assert res.ledger["sensitivity"] == pytest.approx(2.25)
     assert res.budget_spent == PrivacyBudget(1.2, 0.0)
+
+
+@pytest.mark.parametrize("name", ["exponential_mechanism", "grad_norm_exp_mechanism",
+                                  "regularized_exp_mechanism"])
+@pytest.mark.parametrize("instance,params", [
+    ("hard", {"d": 2}), ("quadratic", {"d_x": 2}), ("ridge", {"feature_dim": 2}),
+])
+def test_sampler_scores_meet_their_declared_zeta(name, instance, params):
+    # each score's error against the closed form it approximates, over the
+    # centers of a 12 x 12 grid inside the body, is within the zeta it
+    # declares: at xi = eps, where zeta is the budget's share (eps/2/6 or
+    # eps/24) or NO_CLIP_ZETA below it, and at a tight xi
+    fx = make_instance(instance, **params)
+    Z = fx.sample_dataset(64, seed=0)
+    domain = fx.problem.domain_x
+    X = grid_with_cells(domain, 12).centers_all()
+    X = X[[domain.contains(x) for x in X]]
+    phi = np.array([fx.phi(x, Z) for x in X])
+    grad_norm = np.array([np.linalg.norm(fx.grad_phi(x, Z)) for x in X])
+    for eps in (1.0, 8.0):
+        for xi in (eps, 1e-5):
+            inputs = {"eps": eps, "xi": xi}
+            if name == "regularized_exp_mechanism":
+                inputs.update(delta=1e-5, mode="erm", k_reg=K_REG)
+            led, ev = MECHANISMS[name].score(fx.problem, Z, fx.constants, **inputs)
+            exact = {
+                "exponential_mechanism": lambda: led["coeff"] * phi,
+                "grad_norm_exp_mechanism": lambda: led["coeff"] * grad_norm,
+                "regularized_exp_mechanism":
+                    lambda: led["k"] * (phi + 0.5 * led["mu_reg"] * (X * X).sum(axis=1)),
+            }[name]()
+            assert ev.zeta_bound == led["zeta"] <= NO_CLIP_ZETA
+            assert np.max(np.abs(ev.evaluate_many(X) - exact)) <= led["zeta"], (eps, xi)
 
 
 def test_regularized_mechanism_frozen_parameters(quad):
@@ -492,13 +528,27 @@ def test_numpy_scalar_inputs_are_accepted(quad):
 
 
 def test_walk_budget_past_float_range_is_a_size_cap_error():
-    # zeta = eps/12 puts e^{12 zeta} in the forced walk's step budget past
+    # xi_used = eps/12 puts e^{xi/2} in the forced walk's step budget past
     # float range: a typed size-cap error, not an OverflowError
     fx = make_instance("hard", d=1)
     Z = fx.sample_dataset(8, seed=0)
-    with pytest.raises(SizeCapError, match=r"\(d=1, alpha\*tau=706, zeta=167\)"):
-        exponential_mechanism(fx.problem, Z, fx.constants, eps=2000, xi=2000, rng=0,
+    with pytest.raises(SizeCapError, match=r"^walk step budget inf exceeds .*"
+                       r"\(d=1, alpha\*tau=3\.53e\+04, zeta=0\.25\)$"):
+        exponential_mechanism(fx.problem, Z, fx.constants, eps=1e5, xi=1e5, rng=0,
                               force_walk=True)
+
+
+@pytest.mark.parametrize("eps,steps", [(500, "1.82e+16"), (2000, "1.01e+44")])
+def test_walk_budget_past_the_step_cap_is_a_size_cap_error(eps, steps):
+    # a forced walk that would run for years is refused when planned
+    fx = make_instance("hard", d=1)
+    Z = fx.sample_dataset(8, seed=0)
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match=rf"^walk step budget {re.escape(steps)} exceeds "
+                       rf"{WALK_STEP_CAP} steps \(d=1, "):
+        exponential_mechanism(fx.problem, Z, fx.constants, eps=eps, xi=eps, rng=0,
+                              force_walk=True)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_infinite_xi_takes_the_tolerance_cap(quad):
@@ -716,17 +766,19 @@ def test_exponential_mechanism_json_roundtrip(quad, force_walk):
 
 
 def test_grad_norm_release_enumerates_grid_below_walk_budget():
-    # at eps = 6 the score error zeta = eps/12 = 0.5 is above NO_CLIP_ZETA,
-    # so the accuracy grid runs: 129^2 = 16,641 states, one more than the
-    # enumeration cap, against a longer walk: the planner samples the exact
-    # grid law instead
+    # at eps = 40 the score's error share min(xi, eps/12) = 1 is held at
+    # NO_CLIP_ZETA, and the coarse grid, 151^2 = 22,801 states, is above the
+    # enumeration cap: the accuracy grid (427^2 states) would take a longer
+    # walk than it has states, so the planner samples the coarse grid's
+    # exact law instead
     fx = make_instance("quadratic", d_x=2)
     Z = fx.sample_dataset(64, seed=0)
-    res = grad_norm_exp_mechanism(fx.problem, Z, fx.constants, 6.0, 1.0, rng=0)
-    assert res.ledger["zeta"] == 0.5
+    res = grad_norm_exp_mechanism(fx.problem, Z, fx.constants, 40.0, 1.0, rng=0)
+    assert res.ledger["zeta"] == NO_CLIP_ZETA
+    assert res.ledger["xi_used"] == 1.0
     plan = res.ledger["plan"]
     assert plan["branch"] == "enumerate"
-    assert plan["states"] == 16_641
+    assert plan["states"] == 22_801 > ENUM_STATE_CAP
     assert plan["walk_steps"] == 0
     assert res.ledger["walk_faults"] == 0
     again = replay_mechanism(fx.problem, Z, fx.constants, res)

@@ -16,15 +16,17 @@ from dpbilevel.gridwalk.evaluator import Evaluator, ExtendedEvaluator
 from dpbilevel.gridwalk.sampler import (
     ENUM_STATE_CAP,
     NO_CLIP_ZETA,
+    WALK_STEP_CAP,
+    SamplerPlan,
     grid_law,
     plan_sampler,
     sample_logconcave_detailed,
 )
 from dpbilevel.gridwalk.chain import mixing_time_bound
 from dpbilevel.gridwalk.engine import run_walk
-from dpbilevel.gridwalk.grid import grid_with_cells
+from dpbilevel.gridwalk.grid import build_grid, grid_with_cells
 from dpbilevel.problem import Domain
-from oracles import reference_plan
+from oracles import any_zeta_plan
 
 
 def box(d, half=0.5):
@@ -50,56 +52,58 @@ def pin_plan(monkeypatch, plan):
 # planning
 # ---------------------------------------------------------------------------
 
+def plan_or_error(planner, *args, **kwargs):
+    """The planner's plan, or the exception it raised."""
+    try:
+        return planner(*args, **kwargs)
+    except SizeCapError as exc:
+        return exc
+
+
+#: the planning survey: d, alpha on box(d) (tau = 1, so alpha = alpha * tau)
+#: on a log grid plus the two sides of alpha * tau = 1
+SURVEY_DIMS = range(1, 21)
+SURVEY_ALPHAS = np.union1d(np.logspace(-2, 4, 19), [0.6, 0.75, 0.9, 1.0])
+
+
 def test_plan_one_cell_when_score_is_nearly_flat():
-    # 2 * alpha * tau = 1: the coarse grid is one cell, at any zeta (m <= 2)
-    for zeta in (0.0, 2.0):
-        plan = plan_sampler(box(1, half=0.25), alpha_lip=1.0, xi=0.5, zeta=zeta)
-        assert plan.branch == "enumerate"
-        assert plan.grid.state_count == 1 and plan.walk_steps == 0
+    # alpha * tau < 1: one cell at every zeta the planner takes, in any d,
+    # since alpha*tau/2 + 2*zeta < 1 there (no clip).  At alpha * tau = 1
+    # the coarse grid has two cells per axis, at 1.25 three.
+    for d, half, alpha in ((1, 0.25, 1.0), (12, 0.25, 1.5), (15, 0.5, 0.75)):
+        for zeta in (0.0, 0.1, NO_CLIP_ZETA):
+            plan = plan_sampler(box(d, half=half), alpha_lip=alpha, xi=0.1, zeta=zeta)
+            assert plan.branch == "enumerate"
+            assert plan.grid.state_count == 1 and plan.walk_steps == 0
+    for alpha, cells in ((2.0, 2), (2.5, 3)):
+        plan = plan_sampler(box(1, half=0.25), alpha_lip=alpha, xi=1.0, zeta=NO_CLIP_ZETA)
+        assert plan.branch == "enumerate" and plan.grid.cells_per_axis == cells
     # forced, the accuracy grid is walked: gamma = (xi/2) / (2 * alpha)
     plan = plan_sampler(box(1, half=0.25), 1.0, 0.5, 0.0, force_walk=True)
     assert plan.branch == "walk" and plan.grid.cells_per_axis == 4
 
 
-def test_plan_two_cells_per_axis_only_where_one_cell_clips():
-    # 2 * alpha * tau = 1.5: one cell clips when alpha*tau/2 + 2*zeta > 1,
-    # i.e. zeta > 0.3125.  The two-cell grid is taken there, also above
-    # NO_CLIP_ZETA (the accuracy grid would be 11^12 states)
-    for zeta, cells in ((0.1, 1), (0.3125, 1), (0.35, 2), (1.0, 2)):
-        plan = plan_sampler(box(12, half=0.25), alpha_lip=1.5, xi=1.0, zeta=zeta)
-        assert plan.branch == "enumerate" and plan.walk_steps == 0
-        assert plan.grid.cells_per_axis == cells
-    # 2^15 states exceed ENUM_STATE_CAP: one cell, at any zeta (the
-    # accuracy grid at xi = 0.1 would be 117^15 states)
-    for zeta in (0.1, 1.0):
-        plan = plan_sampler(box(15), alpha_lip=0.75, xi=0.1, zeta=zeta)
-        assert plan.branch == "enumerate" and plan.grid.state_count == 1
-    # three coarse cells per axis: the accuracy grid runs, gamma = (xi/2)/(2*alpha)
-    plan = plan_sampler(box(1, half=0.25), alpha_lip=2.5, xi=1.0, zeta=1.0)
-    assert plan.branch == "enumerate" and plan.grid.cells_per_axis == 5
-
-
 def test_plan_enumerates_small_grids():
-    # the coarse grid, ceil(2 * alpha * tau) = 8 cells, up to NO_CLIP_ZETA;
-    # above it the accuracy grid, spacing (xi/2)/(2*4*sqrt(1))
+    # the coarse grid, ceil(2 * alpha * tau) = 8 cells, at every zeta and
+    # however fine the accuracy grid
     for zeta in (0.0, NO_CLIP_ZETA):
-        plan = plan_sampler(box(1), alpha_lip=4.0, xi=0.5, zeta=zeta)
-        assert plan.branch == "enumerate" and plan.walk_steps == 0
-        assert plan.grid.cells_per_axis == 8
-    plan = plan_sampler(box(1), alpha_lip=4.0, xi=0.5, zeta=0.4)
-    assert plan.branch == "enumerate" and plan.walk_steps == 0
-    assert plan.grid.cells_per_axis == 32
+        for xi in (0.5, 1e-4):
+            plan = plan_sampler(box(1), alpha_lip=4.0, xi=xi, zeta=zeta)
+            assert plan.branch == "enumerate" and plan.walk_steps == 0
+            assert plan.grid.cells_per_axis == 8
 
 
 def test_plan_enumerates_grids_smaller_than_the_walk_budget():
-    # above NO_CLIP_ZETA: 566^2 = 320,356 accuracy states against a walk
-    # of more steps: scoring every state once is less work than the walk
-    # and samples the grid law exactly
-    plan = plan_sampler(box(2), alpha_lip=2.0, xi=0.02, zeta=0.4)
-    assert plan.branch == "enumerate"
-    assert plan.grid.state_count == 320_356 > ENUM_STATE_CAP
-    assert plan.walk_steps == 0
-    assert plan.grid.state_count < mixing_time_bound(2.0, 1.0, 2, 0.01, 0.4)
+    # 129^2 = 16,641 coarse states, one grid line past ENUM_STATE_CAP: the
+    # accuracy grid (365^2 states) would take a walk of more steps than it
+    # has states, so the planner enumerates the coarse grid, which samples
+    # exactly and is smaller still
+    plan = plan_sampler(box(2), alpha_lip=64.5, xi=1.0, zeta=NO_CLIP_ZETA)
+    assert plan.branch == "enumerate" and plan.walk_steps == 0
+    assert plan.grid.state_count == 16_641 > ENUM_STATE_CAP
+    acc = build_grid(box(2), 64.5, 0.5)
+    assert acc.state_count == 133_225
+    assert acc.state_count < mixing_time_bound(64.5, 1.0, 2, 0.5, NO_CLIP_ZETA)
 
 
 def test_plan_walks_when_the_budget_is_below_the_state_count():
@@ -119,24 +123,38 @@ def test_plan_force_walk_walks_above_the_enumeration_cap():
 
 
 def test_plan_small_grid_enumerates_when_the_walk_budget_overflows():
-    # a declared error this large puts the walk budget past float range;
-    # a grid within ENUM_STATE_CAP never needs the budget
+    # xi = 2000 puts the e^{xi/2} factor of the walk budget past float
+    # range: unforced, the coarse grid is enumerated; forced, the budget is
+    # a SizeCapError
     with pytest.raises(OverflowError):
-        mixing_time_bound(4.0, 1.0, 1, 0.25, 60.0)
-    plan = plan_sampler(box(1), alpha_lip=4.0, xi=0.5, zeta=60.0)
-    assert plan.branch == "enumerate" and plan.grid.cells_per_axis == 32
+        mixing_time_bound(64.5, 1.0, 2, 1000.0, NO_CLIP_ZETA)
+    plan = plan_sampler(box(2), alpha_lip=64.5, xi=2000.0, zeta=NO_CLIP_ZETA)
+    assert plan.branch == "enumerate" and plan.grid.cells_per_axis == 129
+    with pytest.raises(SizeCapError, match=r"^walk step budget inf exceeds "):
+        plan_sampler(box(2), 64.5, 2000.0, NO_CLIP_ZETA, force_walk=True)
 
 
 def test_plan_walk_budget_grows_with_declared_error():
     quiet = plan_sampler(box(2), 2.0, 0.02, 0.0, force_walk=True)
-    noisy = plan_sampler(box(2), 2.0, 0.02, 0.3, force_walk=True)
+    noisy = plan_sampler(box(2), 2.0, 0.02, NO_CLIP_ZETA, force_walk=True)
     assert noisy.walk_steps > quiet.walk_steps
 
 
+def test_plan_walk_budget_above_the_step_cap_is_a_size_cap_error():
+    # a forced walk of 40,000 states would take 5.4e14 steps
+    with pytest.raises(SizeCapError, match=r"^walk step budget 5\.41e\+14 exceeds "
+                       rf"{WALK_STEP_CAP} steps \(d=1, alpha\*tau=1e\+03, zeta=0\.25\)$"):
+        plan_sampler(box(1), 1000.0, 0.1, NO_CLIP_ZETA, force_walk=True)
+    plan = plan_sampler(box(2), 40.0, 2.0, NO_CLIP_ZETA, force_walk=True)
+    assert plan.branch == "walk" and plan.walk_steps < WALK_STEP_CAP
+
+
 def test_plan_coarse_fallback_keeps_enumeration_exact():
-    # above NO_CLIP_ZETA the accuracy-sized grid would blow past the walk
-    # cap; the planner falls back to the coarse grid
-    plan = plan_sampler(box(2), alpha_lip=40.0, xi=0.02, zeta=0.5)
+    # the accuracy-sized grid would blow past the walk cap; the coarse grid
+    # needs none of it
+    with pytest.raises(SizeCapError):
+        build_grid(box(2), 40.0, 0.01)
+    plan = plan_sampler(box(2), alpha_lip=40.0, xi=0.02, zeta=NO_CLIP_ZETA)
     assert plan.branch == "enumerate"
     assert plan.grid.cells_per_axis == 80  # ceil(2 * alpha * tau)
 
@@ -151,55 +169,80 @@ def test_plan_flat_score_single_cell():
 
 
 def test_plan_infeasible_raises():
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError, match=r"^no feasible grid: accuracy grid exceeds "):
         plan_sampler(box(3), alpha_lip=1000.0, xi=0.01, zeta=0.0)
 
 
-def test_plan_matches_the_reference_planner_at_xi_equal_zeta():
-    """No plan moves category and no grid grows against the former planner.
+def test_no_plan_clips_and_every_enumeration_is_the_coarse_grid():
+    """At zeta = NO_CLIP_ZETA, over the survey, forced or not: the clip
+    bound alpha*gamma/2 + 2*zeta - 1 is negative on every plan's grid, an
+    enumerate plan's grid is the coarse one, and the accuracy grid appears
+    only in walk plans."""
+    zeta = NO_CLIP_ZETA
+    branches = set()
+    for d in SURVEY_DIMS:
+        for alpha in SURVEY_ALPHAS:
+            for xi in (zeta, 10 * zeta):
+                for force in (False, True):
+                    plan = plan_or_error(plan_sampler, box(d), alpha, xi, zeta,
+                                         force_walk=force)
+                    if isinstance(plan, SizeCapError):
+                        continue
+                    branches.add(plan.branch)
+                    assert alpha * plan.grid.gamma / 2 + 2 * zeta - 1 < 0, (d, alpha)
+                    if plan.branch == "enumerate":
+                        coarse = 1 if alpha < 1.0 else math.ceil(2.0 * alpha)
+                        assert plan.grid.cells_per_axis == coarse, (d, alpha)
+                    else:
+                        acc = build_grid(box(d), alpha, xi / 2)
+                        assert plan.grid.cells_per_axis == acc.cells_per_axis, (d, alpha)
+    assert branches == {"enumerate", "walk"}
 
-    The samplers always plan with xi = zeta (both are the ledger's zeta), so
-    the survey walks d, alpha * tau and xi = zeta on a log grid, planning
-    only.  Categories: enumerate (short_cube counts as enumerating one
-    state), walk, or the exception raised.  The one growth allowed is the
-    two-cell grid where one cell would clip: 2^d <= ENUM_STATE_CAP scores
-    where short_cube scored one.
+
+def test_plan_outcomes_match_the_any_zeta_planner():
+    """No plan changes outcome against the planner that took any zeta.
+
+    Outcomes are a release (enumerate or walk) or the exception raised, at
+    zeta up to NO_CLIP_ZETA and xi in {zeta, 10 zeta}, forced or not.  The
+    only exceptions the former planner did not raise are forced budgets
+    above WALK_STEP_CAP; an unforced plan keeps its branch, and an
+    enumerated grid moves only from the accuracy grid to the smaller coarse
+    one.
     """
-    def outcome(planner, *args):
-        try:
-            plan = planner(*args)
-        except Exception as exc:  # noqa: BLE001 — SizeCapError, float overflow
-            return type(exc).__name__, None
-        if plan.branch == "short_cube":
-            return "enumerate", 1
-        return plan.branch, plan.grid.state_count
-
-    # the log grid plus points just above NO_CLIP_ZETA, where in d >= 9 the
-    # two-cell clause keeps the former short-cube plans enumerating, and
-    # alpha * tau in (1/2, 1), where the coarse grid has two cells per axis
-    zetas = np.union1d(np.logspace(-4, math.log10(50.0), 15), [0.3, 0.4, 0.45])
-    alphas = np.union1d(np.logspace(-2, 4, 19), [0.6, 0.75, 0.9])
-    seen, grown = set(), set()
-    for d in range(1, 21):
-        for alpha in alphas:
+    zetas = np.append(np.logspace(-4, math.log10(NO_CLIP_ZETA), 10)[:-1], NO_CLIP_ZETA)
+    moved = capped = 0
+    for d in SURVEY_DIMS:
+        for alpha in SURVEY_ALPHAS:
             for zeta in zetas:
-                ref, ref_states = outcome(reference_plan, box(d), alpha, zeta, zeta)
-                new, states = outcome(plan_sampler, box(d), alpha, zeta, zeta)
-                assert new == ref, (d, alpha, zeta)
-                if ref_states is not None and states > ref_states:
-                    assert states == 2**d <= ENUM_STATE_CAP, (d, alpha, zeta)
-                    assert alpha / 2 + 2 * zeta > 1, (d, alpha, zeta)
-                    grown.add(d)
-                seen.add(ref)
-    assert seen == {"enumerate", "SizeCapError"}
-    assert grown == set(range(1, 15))
+                for xi in (zeta, 10 * zeta):
+                    for force in (False, True):
+                        args = (box(d), alpha, xi, zeta)
+                        ref = plan_or_error(any_zeta_plan, *args, force_walk=force)
+                        new = plan_or_error(plan_sampler, *args, force_walk=force)
+                        where = (d, alpha, zeta, xi, force)
+                        if isinstance(ref, SamplerPlan) and isinstance(new, SizeCapError):
+                            assert force and ref.walk_steps > WALK_STEP_CAP, where
+                            capped += 1
+                            continue
+                        assert type(new) is type(ref), where
+                        if isinstance(new, SizeCapError):
+                            continue
+                        assert new.branch == ref.branch, where
+                        if new.grid.cells_per_axis != ref.grid.cells_per_axis:
+                            assert new.branch == "enumerate", where
+                            assert new.grid.state_count < ref.grid.state_count, where
+                            moved += 1
+    assert moved > 0 and capped > 0
 
 
 def test_plan_argument_validation():
     with pytest.raises(ConfigurationError):
         plan_sampler(box(1), 1.0, 0.0, 0.0)
-    with pytest.raises(ConfigurationError):
-        plan_sampler(box(1), 1.0, 0.1, -0.1)
+    # zeta above NO_CLIP_ZETA = 1/4 could clip: refused
+    assert NO_CLIP_ZETA == 0.25
+    for zeta in (-0.1, math.nextafter(NO_CLIP_ZETA, 1.0), 0.4, math.nan):
+        with pytest.raises(ConfigurationError, match="^zeta must be in"):
+            plan_sampler(box(1), 1.0, 0.1, zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -321,22 +364,24 @@ def accepted_log_ratio(ext, grid, per_cell=64):
 
 def test_coarse_enumeration_is_exact_below_the_clip_bound():
     # the score's extension has alpha = 12 on box(1), so the coarse grid
-    # has 24 cells; zeta = 0.3 <= NO_CLIP_ZETA with the worst perturbation
+    # has 24 cells; zeta = NO_CLIP_ZETA with the worst perturbation
     domain = box(1)
-    ext = ExtendedEvaluator(cosine_evaluator(2.0, 0.3, 1.0 / 24), domain, 2.0)
-    plan = plan_sampler(domain, ext.alpha_lip, 0.3, 0.3)
+    ext = ExtendedEvaluator(cosine_evaluator(2.0, NO_CLIP_ZETA, 1.0 / 24), domain, 2.0)
+    plan = plan_sampler(domain, ext.alpha_lip, NO_CLIP_ZETA, NO_CLIP_ZETA)
     assert plan.branch == "enumerate" and plan.grid.cells_per_axis == 24
     ratio = accepted_log_ratio(ext, plan.grid)
     assert np.ptp(ratio) <= 1e-12
 
 
 def test_coarse_enumeration_clipping_control_is_not_exact():
-    # zeta = 0.6 > NO_CLIP_ZETA with the same perturbation, pinned to the
-    # same coarse grid: acceptance clips near the cell edges, and the
-    # accepted density is no longer proportional to exp(-f')
+    # zeta = 0.6 > NO_CLIP_ZETA with the same perturbation, on the same
+    # coarse grid (the plan is pinned: plan_sampler refuses this zeta):
+    # acceptance clips near the cell edges, and the accepted density is no
+    # longer proportional to exp(-f')
     domain = box(1)
     ext = ExtendedEvaluator(cosine_evaluator(2.0, 0.6, 1.0 / 24), domain, 2.0)
-    assert plan_sampler(domain, ext.alpha_lip, 0.6, 0.6).grid.cells_per_axis != 24
+    with pytest.raises(ConfigurationError):
+        plan_sampler(domain, ext.alpha_lip, 0.6, 0.6)
     ratio = accepted_log_ratio(ext, grid_with_cells(domain, 24))
     assert np.ptp(ratio) > 0.1
 
@@ -344,11 +389,11 @@ def test_coarse_enumeration_clipping_control_is_not_exact():
 def test_coarse_enumeration_draws_follow_the_perturbed_law():
     # KS test of sampler draws against exp(-f') by quadrature
     domain = box(1)
-    ev = cosine_evaluator(2.0, 0.3, 1.0 / 24)
+    ev = cosine_evaluator(2.0, NO_CLIP_ZETA, 1.0 / 24)
     ext = ExtendedEvaluator(ev, domain, 2.0)
     gen = np.random.default_rng(2024)
     draws = np.sort([
-        sample_logconcave_detailed(ev, domain, 2.0, 0.3, gen).theta[0]
+        sample_logconcave_detailed(ev, domain, 2.0, NO_CLIP_ZETA, gen).theta[0]
         for _ in range(1_500)
     ])
     density = lambda t: math.exp(-ext.eval(np.array([t])))
@@ -449,6 +494,35 @@ def test_one_cell_enumeration_is_exact_at_the_clip_bound(monkeypatch):
              for _ in range(2_000)]
     cdf = lambda t: (math.e - np.exp(-2.0 * t)) / (math.e - 1.0 / math.e)
     assert scipy.stats.kstest(draws, cdf).pvalue > 0.01
+
+
+def test_one_cell_draw_is_exact_in_d15_at_no_clip_zeta(monkeypatch):
+    # alpha * tau = 0.75 in d = 15, where two cells per axis exceed
+    # ENUM_STATE_CAP.  The score tilts axis 0 and adds +zeta at the center,
+    # -zeta at the far edge: f'(c) - f'(theta) - 1 peaks at
+    # alpha*tau/2 + 2*zeta - 1.  At zeta = 0.4 the planner that took any
+    # zeta drew from this one cell, and the accepted log-density
+    # min(0, f'(c) - f'(theta) - 1) - f'(c) is no longer -f'(theta) plus a
+    # constant; at NO_CLIP_ZETA it is, and axis 0 of the draws follows
+    # exp(-f'): KS against quadrature
+    d, alpha, zeta = 15, 0.75, NO_CLIP_ZETA
+    domain = box(d)
+    assert any_zeta_plan(domain, alpha, 0.4, 0.4).grid.state_count == 1
+    t = np.linspace(-0.5, 0.5, 1001)
+    for z, exact in ((zeta, True), (0.4, False)):
+        f = -alpha * t + z * np.cos(2.0 * np.pi * t)
+        assert (np.ptp(np.minimum(0.0, z - f - 1.0) + f) <= 1e-12) == exact
+    plan = plan_sampler(domain, alpha, zeta, zeta)
+    assert plan.branch == "enumerate" and plan.grid.state_count == 1
+    pin_plan(monkeypatch, plan)
+    f1 = lambda t: -alpha * t + zeta * np.cos(2.0 * np.pi * t)
+    ev = Evaluator(lambda ts: f1(ts[:, 0]), zeta_bound=zeta, alpha_lip=alpha)
+    gen = np.random.default_rng(15)
+    draws = [sample_logconcave_detailed(ev, domain, alpha, zeta, gen).theta[0]
+             for _ in range(2_000)]
+    mass = lambda b: scipy.integrate.quad(lambda t: math.exp(-f1(t)), -0.5, b)[0]
+    total = mass(0.5)
+    assert scipy.stats.kstest(draws, np.vectorize(lambda b: mass(b) / total)).pvalue > 0.01
 
 
 def test_integer_seed_reproduces_draws():
