@@ -67,20 +67,38 @@ SURVEY_ALPHAS = np.union1d(np.logspace(-2, 4, 19), [0.6, 0.75, 0.9, 1.0])
 
 
 def test_plan_one_cell_when_score_is_nearly_flat():
-    # alpha * tau < 1: one cell at every zeta the planner takes, in any d,
-    # since alpha*tau/2 + 2*zeta < 1 there (no clip).  At alpha * tau = 1
-    # the coarse grid has two cells per axis, at 1.25 three.
-    for d, half, alpha in ((1, 0.25, 1.0), (12, 0.25, 1.5), (15, 0.5, 0.75)):
-        for zeta in (0.0, 0.1, NO_CLIP_ZETA):
-            plan = plan_sampler(box(d, half=half), alpha_lip=alpha, xi=0.1, zeta=zeta)
-            assert plan.branch == "enumerate"
-            assert plan.grid.state_count == 1 and plan.walk_steps == 0
+    # alpha * tau < 1: one cell at every zeta the planner takes, since
+    # alpha*tau/2 + 2*zeta < 1 there (no clip).  At alpha * tau = 1 the
+    # coarse grid has two cells per axis, at 1.25 three.
+    for zeta in (0.0, 0.1, NO_CLIP_ZETA):
+        plan = plan_sampler(box(1, half=0.25), alpha_lip=1.0, xi=0.1, zeta=zeta)
+        assert plan.branch == "enumerate"
+        assert plan.grid.state_count == 1 and plan.walk_steps == 0
     for alpha, cells in ((2.0, 2), (2.5, 3)):
         plan = plan_sampler(box(1, half=0.25), alpha_lip=alpha, xi=1.0, zeta=NO_CLIP_ZETA)
         assert plan.branch == "enumerate" and plan.grid.cells_per_axis == cells
     # forced, the accuracy grid is walked: gamma = (xi/2) / (2 * alpha)
     plan = plan_sampler(box(1, half=0.25), 1.0, 0.5, 0.0, force_walk=True)
     assert plan.branch == "walk" and plan.grid.cells_per_axis == 4
+
+
+def test_plan_two_cells_per_axis_only_where_one_cell_clips():
+    # 2 * alpha * tau = 1.5: one cell would clip only when
+    # alpha*tau/2 + 2*zeta > 1, i.e. zeta > 0.3125 > NO_CLIP_ZETA.  The
+    # planner refuses those zetas, so the one cell is taken at every zeta
+    # it accepts and a two-cell grid is never planned below alpha*tau = 1
+    for zeta in (0.0, 0.1, NO_CLIP_ZETA):
+        plan = plan_sampler(box(12, half=0.25), alpha_lip=1.5, xi=1.0, zeta=zeta)
+        assert plan.branch == "enumerate" and plan.walk_steps == 0
+        assert plan.grid.cells_per_axis == 1
+    for zeta in (0.3125, 0.35, 1.0):
+        with pytest.raises(ConfigurationError, match="^zeta must be in"):
+            plan_sampler(box(12, half=0.25), alpha_lip=1.5, xi=1.0, zeta=zeta)
+    # one cell in d = 15 too, however fine the accuracy grid (117^15
+    # states at xi = 0.1)
+    for zeta in (0.0, 0.1, NO_CLIP_ZETA):
+        plan = plan_sampler(box(15, half=0.5), alpha_lip=0.75, xi=0.1, zeta=zeta)
+        assert plan.branch == "enumerate" and plan.grid.state_count == 1
 
 
 def test_plan_enumerates_small_grids():
